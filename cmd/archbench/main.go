@@ -14,7 +14,7 @@
 // PGM files into -dir. -scale shrinks the workloads for quick runs.
 // -backend selects the execution substrate: "sim" (the default
 // virtual-time simulator, deterministic paper-shaped curves) or "real"
-// (goroutines over native channels, wall-clock makespans). Sweeps run
+// (goroutines over an in-process mailbox, wall-clock makespans). Sweeps run
 // concurrently through the internal/sched worker pool on either backend;
 // interrupting the process (Ctrl-C) cancels the sweep's context and stops
 // it mid-flight. Figures dispatch off the figures registry, backends off

@@ -15,7 +15,7 @@
 //
 // -backend selects the execution substrate: "sim" prices the run on the
 // machine model's virtual clock; "real" runs the processes as goroutines
-// over native channels and reports wall-clock time; "dist" self-spawns
+// over an in-process mailbox and reports wall-clock time; "dist" self-spawns
 // one worker OS process per rank (re-executing archdemo itself) and
 // routes every message over loopback TCP. The computational result (and
 // its verification) is identical on all of them. Interrupting the

@@ -12,10 +12,12 @@
 //	archworker -join  127.0.0.1:54321            # join one dist world, then exit
 //	archworker -elastic -join 127.0.0.1:54321    # serve an elastic coordinator
 //
-// A listening worker serves each incoming coordinator connection as one
-// world membership (concurrently, so overlapping runs work) and keeps
-// listening; a coordinator attaches with the dist backend's WithWorkers
-// option, e.g. dist.New(dist.WithWorkers("127.0.0.1:9101", ...)).
+// A listening worker serves each incoming coordinator connection
+// (concurrently, so overlapping runs work) and keeps listening; a
+// coordinator attaches with the dist backend's WithWorkers option, e.g.
+// dist.New(dist.WithWorkers("127.0.0.1:9101", ...)). Workers talk only to
+// their coordinator, never to each other, so the -listen address is the
+// one port a worker opens.
 //
 // Joins retry their initial dial with exponential backoff and jitter, so
 // a worker launched moments before its coordinator attaches instead of

@@ -24,7 +24,7 @@
 // Programs run on pluggable execution backends: the virtual-time
 // simulator prices every run on a machine model's clocks (deterministic,
 // paper-shaped curves); the real shared-memory backend runs the same
-// program text as goroutines over native channels at hardware speed with
+// program text as goroutines over an in-process mailbox at hardware speed with
 // wall-clock metering; and the distributed backend routes the same
 // program's messages across worker OS processes over TCP (self-spawned
 // localhost workers by default, attachable cmd/archworker processes

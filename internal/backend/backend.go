@@ -9,24 +9,29 @@
 // tagged FIFO messages between ranks and owns the notion of time — and a
 // Runner is a named Transport factory, one per execution backend.
 //
-// Two backends are built into this package:
+// Four backends are registered. Two are built into this package, and
+// both carry messages through the same in-process mailbox (per-pair FIFO
+// ring buffers with sharded meters):
 //
 //   - Sim: the original virtual-time simulator. Every process carries a
 //     virtual clock advanced by compute charges and machine.Model message
 //     costs; makespans are deterministic for deterministic programs.
 //   - Real: shared-memory execution. Processes are goroutines exchanging
-//     data through native channels with no virtual pricing; the makespan
-//     is wall-clock time read from an injectable clock. Messages and
-//     bytes are still counted identically to Sim, so cost accounting is
+//     data through the mailbox with no virtual pricing; the makespan is
+//     wall-clock time read from an injectable clock. Messages and bytes
+//     are still counted identically to Sim, so cost accounting is
 //     comparable across backends.
 //
-// A third backend lives in the backend/dist sub-package and registers
-// itself as "dist": the same Transport operations routed across worker
-// OS processes over TCP (wall-clock metering, identical msg/byte counts).
+// Two more live in sub-packages and register themselves: "dist"
+// (internal/backend/dist) routes the same Transport operations across
+// worker OS processes over sockets, and "elastic" (internal/elastic)
+// leases ranks to a pool of worker endpoints and re-executes a rank whose
+// worker dies, replaying its delivery log. Both meter wall-clock time and
+// count msgs/bytes identically to Sim.
 //
 // Programs keep their communication structure and computational results on
-// every backend; only the meaning of time (and, for dist, the address
-// space messages cross) changes. spmd.World runs on any Transport (see
+// every backend; only the meaning of time (and, for dist and elastic, the
+// address space messages cross) changes. spmd.World runs on any Transport (see
 // spmd.NewWorldOn), and internal/sched sweeps experiment matrices over
 // backends concurrently.
 package backend

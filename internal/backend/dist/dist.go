@@ -18,15 +18,14 @@
 // worker pushes the body straight back up as an opDeliver, and the
 // coordinator banks it in a per-rank inbox so Recv and RecvAny are local
 // pops — one worker visit and two socket crossings per message, no
-// request/response round trip per receive. (WithPeerRouting restores the
-// source-routed path — coordinator → worker[src] → worker[dst] →
-// coordinator — which exercises the worker↔worker fabric a multi-host
-// deployment relies on.) Writers on every connection coalesce
-// back-to-back frames into one multi-message opBatch frame and flush on
-// idle; the receiving rank's own goroutine reads its control connection,
-// so a delivery wakes it straight from the socket with no relay
-// goroutine on the critical path. Self-spawned worlds speak the control
-// protocol over unix-domain sockets (the peer plane stays TCP).
+// request/response round trip per receive. Writers on every connection
+// coalesce back-to-back frames into one multi-message opBatch frame and
+// flush on idle; the receiving rank's own goroutine reads its control
+// connection, so a delivery wakes it straight from the socket with no
+// relay goroutine on the critical path. Self-spawned worlds speak the
+// control protocol over unix-domain sockets. Workers never talk to each
+// other: while rank bodies run in the coordinator, a worker↔worker data
+// plane would carry nothing a destination-routed send does not.
 //
 // Rank bodies execute as goroutines in the coordinating process (they are
 // ordinary Go closures; shipping code is out of scope), but every payload
@@ -39,8 +38,8 @@
 //
 // Lifecycle: NewTransport spawns the workers (by default re-executing the
 // current binary — see MaybeWorker — authenticated by a per-pool secret),
-// collects their hellos, assigns ranks, and broadcasts the address book;
-// all n ready frames complete the world-start barrier. Finish runs the
+// collects their hellos and assigns ranks; all n ready frames complete the
+// world-start barrier. Finish runs the
 // mirror-image barrier (finish/bye), then releases the processes. With
 // WithWorkerPool, cleanly finished workers — their control connections
 // still warm — go back to a runner-owned pool, and the next world's start
@@ -77,7 +76,7 @@ import (
 )
 
 // runner is the dist backend: a Transport factory whose configuration
-// (spawn command or attach addresses, routing mode, handshake timeout)
+// (spawn command or attach addresses, worker pooling, handshake timeout)
 // is fixed at construction. The registered default self-spawns localhost
 // workers.
 type runner struct {
@@ -93,11 +92,6 @@ type runner struct {
 	handshake time.Duration
 	// inj is the fault-injection seam (nil injects nothing).
 	inj *faultinject.Injector
-	// relay selects source-routed sends (WithPeerRouting): messages
-	// travel coordinator → worker[src] → worker[dst] → coordinator over
-	// the worker↔worker data plane instead of the destination-direct
-	// default.
-	relay bool
 	// pool, when non-nil, keeps cleanly finished self-spawned workers
 	// (process + warm control connection) for the runner's next world.
 	pool *workerPool
@@ -137,16 +131,6 @@ func WithHandshakeTimeout(d time.Duration) Option {
 // paths deterministically.
 func WithInjector(in *faultinject.Injector) Option {
 	return func(r *runner) { r.inj = in }
-}
-
-// WithPeerRouting routes messages through the worker↔worker data plane
-// (coordinator → source's worker → destination's worker → coordinator)
-// instead of the destination-direct default. It costs one extra socket
-// crossing per message but sends every payload across the peer fabric —
-// the path a multi-host deployment's bytes actually take — so parity
-// tests keep that plane honest end to end.
-func WithPeerRouting() Option {
-	return func(r *runner) { r.relay = true }
 }
 
 // WithWorkerPool reuses worker processes across this runner's worlds: a
@@ -397,22 +381,10 @@ func (r *runner) start(ctx context.Context, n int) (*transport, error) {
 		}
 	}
 
-	// All n workers present: assign ranks in arrival order, publish the
-	// address book and the peer-plane secret (minted per world so a
-	// worker's data listener only accepts its own world's peers — the
-	// control token cannot serve, attach-mode workers have none), and
-	// wait for every ready — the world-start barrier.
-	var peerSecretRaw [16]byte
-	if _, err := rand.Read(peerSecretRaw[:]); err != nil {
-		return nil, fmt.Errorf("peer secret: %w", err)
-	}
-	peerSecret := hex.EncodeToString(peerSecretRaw[:])
-	addrs := make([]string, n)
+	// All n workers present: assign ranks in arrival order and wait for
+	// every ready — the world-start barrier.
 	for rank, wc := range t.conns {
-		addrs[rank] = wc.peerAddr
-	}
-	for rank, wc := range t.conns {
-		if err := WriteFrame(wc.c, opAssign, assignBody(rank, n, peerSecret, addrs)); err != nil {
+		if err := WriteFrame(wc.c, opAssign, assignBody(rank, n)); err != nil {
 			return nil, fmt.Errorf("assigning rank %d: %w", rank, err)
 		}
 	}
@@ -482,25 +454,11 @@ func (r *runner) spawnInto(t *transport, cp *controlPlane, n int, deadline time.
 	}
 	cp.acceptMu.Lock()
 	defer cp.acceptMu.Unlock()
-	env := append(os.Environ(),
-		envWorker+"="+cp.addrSpec,
-		envToken+"="+cp.token)
 	spawned := make(map[int]*proc, need)
 	for i := 0; i < need; i++ {
-		var cmd *exec.Cmd
-		if len(r.workerCmd) > 0 {
-			cmd = exec.Command(r.workerCmd[0], r.workerCmd[1:]...)
-		} else {
-			exe, err := os.Executable()
-			if err != nil {
-				return fmt.Errorf("locating own binary: %w", err)
-			}
-			cmd = exec.Command(exe)
-		}
-		cmd.Env = env
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			return fmt.Errorf("spawning worker: %w", err)
+		cmd, err := SpawnWorker(r.workerCmd, envWorker+"="+cp.addrSpec, envToken+"="+cp.token)
+		if err != nil {
+			return err
 		}
 		p := newProc(cmd)
 		spawned[cmd.Process.Pid] = p
@@ -555,9 +513,8 @@ type workerConn struct {
 	br *bufio.Reader
 	w  *Writer
 	// proc is the worker's process; nil for attach-mode connections.
-	proc     *proc
-	peerAddr string
-	pid      int
+	proc *proc
+	pid  int
 	// poolable is set by the finish barrier on receipt of the worker's
 	// bye: the worker is provably between worlds, so teardown may park
 	// it in the runner's pool instead of killing it.
@@ -588,14 +545,14 @@ func (wc *workerConn) expectHello(deadline time.Time, token string) error {
 	if op != opHello {
 		return fmt.Errorf("expected hello frame, got op %d", op)
 	}
-	got, peerAddr, pid, err := parseHello(body)
+	got, pid, err := ParseHello(body)
 	if err != nil {
 		return err
 	}
 	if token != "" && got != token {
 		return fmt.Errorf("hello with wrong world secret")
 	}
-	wc.peerAddr, wc.pid = peerAddr, pid
+	wc.pid = pid
 	return nil
 }
 
@@ -741,13 +698,11 @@ func (t *transport) inject(point string, rank int) {
 	}
 }
 
-// Send appends the message to the routing-mode's connection: the
-// destination rank's (default — its worker pushes the body back up as
-// the delivery) or the source rank's (peer routing — its worker relays
-// across the data plane). Either way the frame only reaches the wire at
-// the sending rank's next flush point (its next receive, or its body
-// returning), which is the write-coalescing boundary: a burst of sends
-// goes out as one opBatch frame.
+// Send appends the message to the destination rank's connection, whose
+// worker pushes the body back up as the delivery. The frame only reaches
+// the wire at the sending rank's next flush point (its next receive, or
+// its body returning), which is the write-coalescing boundary: a burst
+// of sends goes out as one opBatch frame.
 func (t *transport) Send(src, dst, tag int, data any, bytes int) {
 	var start int64
 	if t.rec != nil {
@@ -768,11 +723,7 @@ func (t *transport) Send(src, dst, tag int, data any, bytes int) {
 		}
 		return
 	}
-	wc, op, rankField := t.conns[dst], opSend, src
-	if t.r.relay {
-		wc, op, rankField = t.conns[src], opRelay, dst
-	}
-	hdr := appendMsgHeader(t.sendBufs[src][:0], rankField, tag, bytes)
+	hdr := AppendMsgHeader(t.sendBufs[src][:0], src, tag, bytes)
 	body, err := spmd.AppendPayload(hdr, data)
 	if err != nil {
 		// A payload outside the wire codec is a programming error of the
@@ -780,7 +731,7 @@ func (t *transport) Send(src, dst, tag int, data any, bytes int) {
 		// than poisoning the run with a substrate error.
 		panic(fmt.Sprintf("dist: process %d: %v", src, err))
 	}
-	werr := wc.w.Write(op, body)
+	werr := t.conns[dst].w.Write(opSend, body)
 	t.sendBufs[src] = body[:0]
 	if werr != nil {
 		t.raise(src, werr)
@@ -895,7 +846,7 @@ func (t *transport) popMsg(dst, src int) inMsg {
 			if op != opDeliver {
 				return fmt.Errorf("unexpected control op %d", op)
 			}
-			from, tag, metered, payload, err := parseMsgHeader(b)
+			from, tag, metered, payload, err := ParseMsgHeader(b)
 			if err != nil {
 				return err
 			}

@@ -426,74 +426,6 @@ func TestDistRecvAnyFIFOPerSource(t *testing.T) {
 	}
 }
 
-// TestDistPeerRoutingParity runs the same program under destination
-// routing (default) and source routing (WithPeerRouting, exercising the
-// worker↔worker data plane) and demands identical results and meters —
-// routing mode is an implementation detail, not a semantic.
-func TestDistPeerRoutingParity(t *testing.T) {
-	const n = 3
-	prog := func(sums []float64) func(p *spmd.Proc) {
-		return func(p *spmd.Proc) {
-			rank := p.Rank()
-			spmd.SendT(p, (rank+1)%n, 7, []float64{float64(rank)})
-			got := spmd.Recv[[]float64](p, (rank+n-1)%n, 7)
-			if got[0] != float64((rank+n-1)%n) {
-				panic(fmt.Sprintf("rank %d: bad ring payload %v", rank, got))
-			}
-			sums[rank] = collective.AllReduce(p, float64(rank+1), func(a, b float64) float64 { return a + b })
-		}
-	}
-	direct := make([]float64, n)
-	directRes, err := runOn(t, dist.New(), n, prog(direct))
-	if err != nil {
-		t.Fatalf("destination-routed run: %v", err)
-	}
-	relayed := make([]float64, n)
-	relayRes, err := runOn(t, dist.New(dist.WithPeerRouting()), n, prog(relayed))
-	if err != nil {
-		t.Fatalf("peer-routed run: %v", err)
-	}
-	for rank := range direct {
-		if direct[rank] != relayed[rank] {
-			t.Errorf("rank %d: destination-routed %g != peer-routed %g", rank, direct[rank], relayed[rank])
-		}
-	}
-	if directRes.Msgs != relayRes.Msgs || directRes.Bytes != relayRes.Bytes {
-		t.Errorf("meters differ: destination-routed %d msgs/%d bytes, peer-routed %d msgs/%d bytes",
-			directRes.Msgs, directRes.Bytes, relayRes.Msgs, relayRes.Bytes)
-	}
-}
-
-// TestDistCrashMidPush kills a worker at the narrowest window of the
-// eager-push path: after the message crossed the worker↔worker data
-// plane (peer routing) but before its opDeliver push reaches the
-// coordinator. The world must fail with a worker error — not hang on the
-// never-delivered message, and not masquerade as a cancellation.
-func TestDistCrashMidPush(t *testing.T) {
-	t.Setenv("ARCHDIST_CRASH_PUSH_RANK", "1") // rank 1's worker dies before its first push
-	const n = 4
-	done := make(chan error, 1)
-	go func() {
-		_, err := runOn(t, dist.New(dist.WithPeerRouting()), n, func(p *spmd.Proc) {
-			rank := p.Rank()
-			spmd.SendT(p, (rank+1)%n, 5, rank)
-			spmd.Recv[int](p, (rank+n-1)%n, 5)
-		})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("run with a worker killed mid-push returned nil error")
-		}
-		if errors.Is(err, context.Canceled) {
-			t.Fatalf("mid-push crash surfaced as cancellation, want a worker failure: %v", err)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("run with a worker killed mid-push hung")
-	}
-}
-
 // TestDistWorkerPoolReuse pins the pooling contract observably: with
 // WithWorkerPool, a second world on the same runner reuses the first
 // world's worker processes instead of spawning fresh ones.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -12,55 +13,39 @@ import (
 //
 //	[u32 big-endian length] [u8 op] [body...]
 //
-// where length counts the op byte plus the body. Two kinds of connection
-// speak it:
-//
-//   - control (coordinator ↔ worker): the handshake (hello/assign/ready),
-//     then two one-way streams riding the same connection — the
-//     coordinator's send stream down (fire and forget), and the worker's
-//     eager opDeliver stream up (every message that reaches the worker's
-//     rank is pushed to the coordinator immediately, no request needed;
-//     the coordinator banks deliveries in a per-rank inbox so Recv and
-//     RecvAny are local pops). The opFinish/opBye finish barrier ends the
-//     world, after which the same connection can host the next world's
-//     handshake — worker processes and their control connections are
-//     reusable (see the coordinator's worker pool).
-//   - peer (worker ↔ worker): one opPeerHello identifying the dialer,
-//     then a one-way opData stream. Peer connections are dialed lazily on
-//     the first relayed message toward that rank.
-//
-// The down stream has two send ops for the two routing modes:
-//
-//   - opSend is destination-routed (the default): the coordinator writes
-//     it down the *destination* rank's control connection, and that
-//     worker pushes the body back up verbatim as an opDeliver — the
-//     message takes one worker visit, two socket crossings end to end.
-//   - opRelay is source-routed (WithPeerRouting): the coordinator writes
-//     it down the *source* rank's control connection; that worker
-//     re-headers it as opData, forwards it across the peer plane to the
-//     destination's worker, which pushes it up as opDeliver — three
-//     crossings, but the bytes traverse the worker↔worker fabric, which
-//     is what a multi-host deployment exercises.
+// where length counts the op byte plus the body. A control connection
+// (coordinator ↔ worker) carries the handshake (hello/assign/ready), then
+// two one-way streams: the coordinator's opSend stream down (fire and
+// forget) and the worker's eager opDeliver stream up. A send is written
+// down the *destination* rank's connection, and that worker pushes the
+// body back up verbatim as an opDeliver — one worker visit, two socket
+// crossings end to end; the coordinator banks deliveries in a per-rank
+// inbox so Recv and RecvAny are local pops. The opFinish/opBye finish
+// barrier ends the world, after which the same connection can host the
+// next world's handshake — worker processes and their control
+// connections are reusable (see the coordinator's worker pool).
 //
 // Any frame may be an opBatch container: back-to-back frames toward one
 // destination, coalesced by Writer into a single multi-message frame
 // (and a single TCP segment). Readers expand batches with forEachFrame;
 // batches never nest.
 //
-// Message payloads inside opSend/opRelay/opData/opDeliver are spmd
-// wire-codec bytes; workers forward them opaquely and only the
-// coordinator encodes and decodes.
+// Message payloads inside opSend/opDeliver are spmd wire-codec bytes;
+// workers forward them opaquely and only the coordinator encodes and
+// decodes.
+//
+// The frame primitives and body codecs below are exported because the
+// elastic backend's control plane speaks the same frames and bodies with
+// its own op space: there is one frame reader, one body cursor, one hello
+// codec and one message-header codec for both wire backends.
 const (
 	opHello byte = 1 + iota
 	opAssign
 	opReady
 	opSend
-	opRelay
 	opDeliver
 	opFinish
 	opBye
-	opPeerHello
-	opData
 	opBatch
 )
 
@@ -74,9 +59,7 @@ const maxFrame = 1 << 30
 const writerFlushBytes = 32 << 10
 
 // AppendFrame appends a complete frame to buf (a reusable scratch
-// buffer) so the caller can issue it as one Write. The frame primitives
-// are exported because the elastic backend's control plane speaks the
-// same length-prefixed format (with its own op space).
+// buffer) so the caller can issue it as one Write.
 func AppendFrame(buf []byte, op byte, body []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(1+len(body)))
 	buf = append(buf, op)
@@ -107,12 +90,12 @@ func ReadFrame(br *bufio.Reader) (op byte, body []byte, err error) {
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	length := binary.BigEndian.Uint32(hdr[:4])
-	if length == 0 || length > maxFrame {
-		return 0, nil, fmt.Errorf("dist: invalid frame length %d", length)
+	n, err := frameBodyLen(hdr[:4])
+	if err != nil {
+		return 0, nil, err
 	}
-	body = make([]byte, length-1)
-	if _, err := io.ReadFull(br, body); err != nil {
+	body, err = readBody(br, nil, n)
+	if err != nil {
 		return 0, nil, err
 	}
 	return hdr[4], body, nil
@@ -131,21 +114,50 @@ func readFrameInto(br *bufio.Reader, scratch *[]byte) (op byte, body []byte, err
 	if err != nil {
 		return 0, nil, err
 	}
-	length := binary.BigEndian.Uint32(hdr[:4])
-	if length == 0 || length > maxFrame {
-		return 0, nil, fmt.Errorf("dist: invalid frame length %d", length)
+	n, err := frameBodyLen(hdr[:4])
+	if err != nil {
+		return 0, nil, err
 	}
 	op = hdr[4]
 	br.Discard(5) //nolint:errcheck // 5 bytes are buffered: Peek succeeded
-	n := int(length - 1)
-	if cap(*scratch) < n {
-		*scratch = make([]byte, n, n+n/2+64)
-	}
-	body = (*scratch)[:n]
-	if err := readFull(br, body); err != nil {
+	body, err = readBody(br, *scratch, n)
+	if err != nil {
 		return 0, nil, err
 	}
+	*scratch = body
 	return op, body, nil
+}
+
+// frameBodyLen validates a frame's length prefix and returns its body
+// length (the length minus the op byte).
+func frameBodyLen(prefix []byte) (int, error) {
+	length := binary.BigEndian.Uint32(prefix)
+	if length == 0 || length > maxFrame {
+		return 0, fmt.Errorf("dist: invalid frame length %d", length)
+	}
+	return int(length - 1), nil
+}
+
+// readStep is how far readBody lets a body's buffer run ahead of the
+// bytes actually received; bodies up to it are read in one step.
+const readStep = 4 << 20
+
+// readBody reads an n-byte frame body, reusing buf's capacity. Beyond
+// that capacity the buffer grows only as bytes arrive — to readStep, then
+// doubling — so a forged length prefix costs memory in proportion to the
+// bytes its sender really wrote, not to the length it claims. Growth
+// goes through append, so a scratch buffer reused across frames of
+// creeping size reallocates geometrically, not per frame.
+func readBody(br *bufio.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for have := 0; have < n; have = len(buf) {
+		next := min(n, max(2*have, readStep))
+		buf = slices.Grow(buf, next-have)[:next]
+		if err := readFull(br, buf[have:]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // readFull is io.ReadFull on the concrete reader: the destination slice
@@ -304,151 +316,135 @@ func (w *Writer) Err() error {
 	return w.err
 }
 
-// Handshake and header bodies are hand-rolled uvarint/fixed-width
-// encodings, tiny cousins of the spmd payload codec.
+// Frame bodies are hand-rolled uvarint/fixed-width encodings, tiny
+// cousins of the spmd payload codec.
 
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
 
-// reader cursors over a frame body; its err field latches the first
-// truncation so call sites check once.
-type reader struct {
+// Cursor reads fields off a frame body; the first truncation latches in
+// Err so call sites check once.
+type Cursor struct {
 	b   []byte
 	off int
 	err error
 }
 
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("dist: truncated frame body at offset %d", r.off)
+// NewCursor returns a cursor at the start of body b.
+func NewCursor(b []byte) Cursor { return Cursor{b: b} }
+
+func (c *Cursor) fail() {
+	if c.err == nil {
+		c.err = fmt.Errorf("dist: truncated frame body at offset %d", c.off)
 	}
 }
 
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
+// U32 reads a big-endian uint32.
+func (c *Cursor) U32() uint32 {
+	if c.err != nil || c.off+4 > len(c.b) {
+		c.fail()
 		return 0
 	}
-	v := binary.BigEndian.Uint32(r.b[r.off:])
-	r.off += 4
+	v := binary.BigEndian.Uint32(c.b[c.off:])
+	c.off += 4
 	return v
 }
 
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
+// U64 reads a big-endian uint64.
+func (c *Cursor) U64() uint64 {
+	if c.err != nil || c.off+8 > len(c.b) {
+		c.fail()
 		return 0
 	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
+	v := binary.BigEndian.Uint64(c.b[c.off:])
+	c.off += 8
 	return v
 }
 
-func (r *reader) string() string {
-	if r.err != nil {
+// str reads an appendString field.
+func (c *Cursor) str() string {
+	if c.err != nil {
 		return ""
 	}
-	n, w := binary.Uvarint(r.b[r.off:])
+	n, w := binary.Uvarint(c.b[c.off:])
 	// Compare in uint64 space: a corrupt huge length must fail cleanly,
 	// not overflow the int conversion into a passing bounds check (the
-	// coordinator parses hello frames from arbitrary connections).
-	if w <= 0 || n > uint64(len(r.b)-r.off-w) {
-		r.fail()
+	// coordinators parse hello frames from arbitrary connections).
+	if w <= 0 || n > uint64(len(c.b)-c.off-w) {
+		c.fail()
 		return ""
 	}
-	s := string(r.b[r.off+w : r.off+w+int(n)])
-	r.off += w + int(n)
+	s := string(c.b[c.off+w : c.off+w+int(n)])
+	c.off += w + int(n)
 	return s
 }
 
-func (r *reader) rest() []byte {
-	if r.err != nil {
+// Rest returns the unread remainder of the body (nil after an error).
+func (c *Cursor) Rest() []byte {
+	if c.err != nil {
 		return nil
 	}
-	return r.b[r.off:]
+	return c.b[c.off:]
 }
 
-// hello (worker → coordinator): authenticate and advertise.
-func helloBody(token, peerAddr string, pid int) []byte {
+// Err reports the first truncation, if any.
+func (c *Cursor) Err() error { return c.err }
+
+// HelloBody is the hello frame's body (worker → coordinator, on both wire
+// backends): the world token it authenticates with and its process id,
+// which a spawning coordinator matches against the processes it started.
+func HelloBody(token string, pid int) []byte {
 	buf := appendString(nil, token)
-	buf = appendString(buf, peerAddr)
 	return binary.BigEndian.AppendUint64(buf, uint64(pid))
 }
 
-func parseHello(b []byte) (token, peerAddr string, pid int, err error) {
-	r := &reader{b: b}
-	token, peerAddr = r.string(), r.string()
-	pid = int(r.u64())
-	return token, peerAddr, pid, r.err
+// ParseHello decodes a HelloBody.
+func ParseHello(b []byte) (token string, pid int, err error) {
+	c := NewCursor(b)
+	token = c.str()
+	pid = int(c.U64())
+	return token, pid, c.Err()
 }
 
-// assign (coordinator → worker): rank, world size, the peer-plane
-// secret, and every rank's peer address. Sent only after all n hellos
-// arrived — the world-start barrier's first half. The secret is minted
-// per world by the coordinator and echoed in every peerhello, so a
-// worker's data plane only accepts connections from its own world (the
-// control-plane token cannot serve here: attach-mode workers have none).
-func assignBody(rank, n int, peerSecret string, addrs []string) []byte {
+// assign (coordinator → worker): rank and world size, sent only after all
+// n hellos arrived — the world-start barrier's first half.
+func assignBody(rank, n int) []byte {
 	buf := binary.BigEndian.AppendUint32(nil, uint32(rank))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
-	buf = appendString(buf, peerSecret)
-	for _, a := range addrs {
-		buf = appendString(buf, a)
-	}
-	return buf
+	return binary.BigEndian.AppendUint32(buf, uint32(n))
 }
 
-func parseAssign(b []byte) (rank, n int, peerSecret string, addrs []string, err error) {
-	r := &reader{b: b}
-	rank, n = int(r.u32()), int(r.u32())
-	if r.err == nil && (n <= 0 || n > maxFrame) {
-		return 0, 0, "", nil, fmt.Errorf("dist: invalid assign world size %d", n)
+func parseAssign(b []byte) (rank, n int, err error) {
+	c := NewCursor(b)
+	rank, n = int(c.U32()), int(c.U32())
+	if err := c.Err(); err != nil {
+		return 0, 0, err
 	}
-	peerSecret = r.string()
-	addrs = make([]string, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		addrs = append(addrs, r.string())
+	if rank < 0 || rank >= n {
+		return 0, 0, fmt.Errorf("dist: assigned rank %d outside world of %d", rank, n)
 	}
-	return rank, n, peerSecret, addrs, r.err
+	return rank, n, nil
 }
 
-// send/relay (coordinator → worker) / data (worker → worker) / deliver
-// (worker → coordinator) share one header shape: the varying rank field
-// (src for send, data, and deliver — the destination is implied by which
-// connection carries the frame — and dst for relay, whose whole point is
-// naming a rank the carrying connection does not), the tag, the metered
-// byte count, then the opaque payload. opSend sharing the deliver shape
-// is what makes the destination worker's hot path a verbatim push: it
-// republishes the body untouched under the opDeliver op.
-func appendMsgHeader(buf []byte, rank, tag, metered int) []byte {
+// AppendMsgHeader appends the message header every message-carrying frame
+// shares: a rank (the source — the destination is implied by which
+// connection carries the frame), the tag, and the metered byte count; the
+// opaque payload follows it. opSend sharing the opDeliver shape is what
+// makes the destination worker's hot path a verbatim push: it republishes
+// the body untouched under the opDeliver op.
+func AppendMsgHeader(buf []byte, rank, tag, metered int) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(rank))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(int64(tag)))
 	return binary.BigEndian.AppendUint64(buf, uint64(int64(metered)))
 }
 
-func msgHeader(rank, tag, metered int, payload []byte) []byte {
-	buf := appendMsgHeader(make([]byte, 0, 20+len(payload)), rank, tag, metered)
-	return append(buf, payload...)
-}
-
-func parseMsgHeader(b []byte) (rank, tag, metered int, payload []byte, err error) {
-	r := &reader{b: b}
-	rank = int(r.u32())
-	tag = int(int64(r.u64()))
-	metered = int(int64(r.u64()))
-	return rank, tag, metered, r.rest(), r.err
-}
-
-func peerHelloBody(from int, peerSecret string) []byte {
-	buf := binary.BigEndian.AppendUint32(nil, uint32(from))
-	return appendString(buf, peerSecret)
-}
-
-func parsePeerHello(b []byte) (from int, peerSecret string, err error) {
-	r := &reader{b: b}
-	from = int(r.u32())
-	peerSecret = r.string()
-	return from, peerSecret, r.err
+// ParseMsgHeader decodes an AppendMsgHeader header and returns the
+// payload after it (aliasing b).
+func ParseMsgHeader(b []byte) (rank, tag, metered int, payload []byte, err error) {
+	c := NewCursor(b)
+	rank = int(c.U32())
+	tag = int(int64(c.U64()))
+	metered = int(int64(c.U64()))
+	return rank, tag, metered, c.Rest(), c.Err()
 }

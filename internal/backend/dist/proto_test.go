@@ -5,24 +5,24 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"net"
+	"runtime"
 	"testing"
+	"time"
 )
 
-// TestProtoRoundTrip pins the frame-body encodings both planes speak.
+// TestProtoRoundTrip pins the frame-body encodings the control plane
+// speaks.
 func TestProtoRoundTrip(t *testing.T) {
-	token, addr, pid, err := parseHello(helloBody("tok", "127.0.0.1:9", 42))
-	if err != nil || token != "tok" || addr != "127.0.0.1:9" || pid != 42 {
-		t.Fatalf("hello round trip = %q %q %d %v", token, addr, pid, err)
+	token, pid, err := ParseHello(HelloBody("tok", 42))
+	if err != nil || token != "tok" || pid != 42 {
+		t.Fatalf("hello round trip = %q %d %v", token, pid, err)
 	}
-	rank, n, secret, addrs, err := parseAssign(assignBody(2, 3, "s3cret", []string{"a", "b", "c"}))
-	if err != nil || rank != 2 || n != 3 || secret != "s3cret" || len(addrs) != 3 || addrs[1] != "b" {
-		t.Fatalf("assign round trip = %d %d %q %v %v", rank, n, secret, addrs, err)
+	rank, n, err := parseAssign(assignBody(2, 3))
+	if err != nil || rank != 2 || n != 3 {
+		t.Fatalf("assign round trip = %d %d %v", rank, n, err)
 	}
-	from, psec, err := parsePeerHello(peerHelloBody(1, "s3cret"))
-	if err != nil || from != 1 || psec != "s3cret" {
-		t.Fatalf("peerhello round trip = %d %q %v", from, psec, err)
-	}
-	r, tag, metered, payload, err := parseMsgHeader(msgHeader(5, -7, 16, []byte{1, 2}))
+	r, tag, metered, payload, err := ParseMsgHeader(append(AppendMsgHeader(nil, 5, -7, 16), 1, 2))
 	if err != nil || r != 5 || tag != -7 || metered != 16 || !bytes.Equal(payload, []byte{1, 2}) {
 		t.Fatalf("msg header round trip = %d %d %d %v %v", r, tag, metered, payload, err)
 	}
@@ -96,7 +96,7 @@ func TestWriterSelfFlush(t *testing.T) {
 	const sent = 100 // ~100 KiB total, several self-flushes
 	for i := range sent {
 		payload[0] = byte(i)
-		if err := w.Write(opData, payload); err != nil {
+		if err := w.Write(opDeliver, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,7 +114,7 @@ func TestWriterSelfFlush(t *testing.T) {
 			break
 		}
 		if err := forEachFrame(op, body, func(op byte, b []byte) error {
-			if op != opData || len(b) != len(payload) || b[0] != byte(seen) {
+			if op != opDeliver || len(b) != len(payload) || b[0] != byte(seen) {
 				t.Fatalf("frame %d corrupted: op %d, len %d, lead %d", seen, op, len(b), b[0])
 			}
 			seen++
@@ -155,11 +155,11 @@ func (failWriter) Write(p []byte) (int, error) { return 0, errors.New("wire down
 // drops.
 func TestForEachFrameRejectsMalformedBatch(t *testing.T) {
 	nop := func(byte, []byte) error { return nil }
-	inner := AppendFrame(nil, opBatch, AppendFrame(nil, opData, []byte("x")))
+	inner := AppendFrame(nil, opBatch, AppendFrame(nil, opDeliver, []byte("x")))
 	if err := forEachFrame(opBatch, inner, nop); err == nil {
 		t.Error("nested batch accepted")
 	}
-	truncated := AppendFrame(nil, opData, []byte("payload"))
+	truncated := AppendFrame(nil, opDeliver, []byte("payload"))
 	if err := forEachFrame(opBatch, truncated[:len(truncated)-3], nop); err == nil {
 		t.Error("truncated batch accepted")
 	}
@@ -171,7 +171,7 @@ func TestForEachFrameRejectsMalformedBatch(t *testing.T) {
 // TestPendingFrame pins the flush-on-idle predicate: true exactly when a
 // complete frame is already buffered.
 func TestPendingFrame(t *testing.T) {
-	full := AppendFrame(nil, opData, []byte("hello"))
+	full := AppendFrame(nil, opDeliver, []byte("hello"))
 	br := bufio.NewReader(bytes.NewReader(append(full, full[:7]...)))
 	if pendingFrame(br) {
 		t.Error("pendingFrame true before any buffered read")
@@ -197,21 +197,36 @@ func TestProtoMalformedFrames(t *testing.T) {
 	// A string whose uvarint length is astronomically larger than the
 	// body: the overflow-bait case.
 	huge := binary.AppendUvarint(nil, 1<<62)
-	if _, _, _, err := parseHello(huge); err == nil {
-		t.Error("parseHello(huge length): want error")
-	}
-	if _, _, _, _, err := parseAssign(append(binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, 0), 2), huge...)); err == nil {
-		t.Error("parseAssign(huge length): want error")
-	}
-	if _, _, err := parsePeerHello(append(binary.BigEndian.AppendUint32(nil, 1), huge...)); err == nil {
-		t.Error("parsePeerHello(huge length): want error")
+	if _, _, err := ParseHello(huge); err == nil {
+		t.Error("ParseHello(huge length): want error")
 	}
 	for _, b := range [][]byte{nil, {1}, {1, 2, 3}} {
-		if _, _, _, err := parseHello(b); err == nil {
-			t.Errorf("parseHello(%v): want error", b)
+		if _, _, err := ParseHello(b); err == nil {
+			t.Errorf("ParseHello(%v): want error", b)
 		}
-		if _, _, _, _, err := parseMsgHeader(b); err == nil {
-			t.Errorf("parseMsgHeader(%v): want error", b)
+		if _, _, err := parseAssign(b); err == nil {
+			t.Errorf("parseAssign(%v): want error", b)
+		}
+		if _, _, _, _, err := ParseMsgHeader(b); err == nil {
+			t.Errorf("ParseMsgHeader(%v): want error", b)
+		}
+	}
+	// A forged assign naming a 2^30-rank world: the worker must take it
+	// (or refuse it) without allocating per rank. Sizing per-rank tables
+	// by the claimed n used to kill the worker out of memory.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := serveAssign(t, forgedAssign); err != nil {
+		t.Logf("forged assign refused: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Errorf("forged assign allocated %d bytes", grew)
+	}
+	// Assignments outside the world they name are refused.
+	for _, b := range [][]byte{assignBody(2, 2), assignBody(0, 0), {0, 0, 0, 1}} {
+		if err := serveAssign(t, b); err == nil {
+			t.Errorf("worker accepted assign %v", b)
 		}
 	}
 	// Zero and oversized frame lengths are rejected before allocation.
@@ -223,4 +238,31 @@ func TestProtoMalformedFrames(t *testing.T) {
 			t.Errorf("ReadFrame(length %v): want error", hdr[:4])
 		}
 	}
+}
+
+// forgedAssign is an assign body for rank 0 of a 2^30-rank world.
+var forgedAssign = []byte{0, 0, 0, 0, 0x40, 0, 0, 0}
+
+// serveAssign plays coordinator for one handshake over an in-memory
+// connection: it takes the worker's hello, answers with an assign frame
+// carrying body, and releases the worker. It returns ServeConn's result.
+func serveAssign(t *testing.T, body []byte) error {
+	t.Helper()
+	coord, worker := net.Pipe()
+	defer coord.Close()
+	coord.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // enforced by the reads
+	done := make(chan error, 1)
+	go func() { done <- ServeConn(worker, "") }()
+	br := bufio.NewReader(coord)
+	if op, _, err := ReadFrame(br); err != nil || op != opHello {
+		t.Fatalf("worker hello = op %d, %v", op, err)
+	}
+	if err := WriteFrame(coord, opAssign, body); err != nil {
+		t.Fatal(err)
+	}
+	// A worker that took the assignment readies; one that refused it
+	// hangs up. Either way, closing the connection releases it.
+	ReadFrame(br) //nolint:errcheck // ready or EOF
+	coord.Close()
+	return <-done
 }

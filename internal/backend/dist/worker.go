@@ -8,10 +8,9 @@ import (
 	"io"
 	"net"
 	"os"
+	"os/exec"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/backoff"
@@ -25,43 +24,33 @@ const (
 	envWorker = "ARCHDIST_WORKER"
 	envToken  = "ARCHDIST_TOKEN"
 	// envCrashRank is a test hook: the worker whose assigned rank matches
-	// kills itself when the first message for its rank (or, in relay mode,
-	// from its rank) reaches it, simulating a mid-run crash.
+	// kills itself when the first message for its rank reaches it,
+	// simulating a mid-run crash.
 	envCrashRank = "ARCHDIST_CRASH_RANK"
-	// envCrashPushRank is the eager-push twin: the worker whose assigned
-	// rank matches kills itself just before its first opDeliver push up
-	// the control connection — a crash in the middle of the delivery
-	// path, with the receiving rank already parked on the coordinator
-	// inbox.
-	envCrashPushRank = "ARCHDIST_CRASH_PUSH_RANK"
 )
 
-// Timeouts of the worker's network edges, atomics so tests can shrink
-// them without racing live workers: peerDialTimeout bounds dialing a
-// peer's data listener (a dead peer address must fail the world
-// promptly, not hang the handler for the OS connect timeout), and
-// peerHelloTimeout bounds how long an accepted inbound data connection
-// may stall before its peerhello (a connection that sends nothing must
-// not pin a goroutine and an fd for the life of the process).
-var (
-	peerDialTimeout  = newTimeout(10 * time.Second)
-	peerHelloTimeout = newTimeout(30 * time.Second)
-)
-
-type timeout struct{ atomic.Int64 }
-
-func newTimeout(d time.Duration) *timeout {
-	t := &timeout{}
-	t.Store(int64(d))
-	return t
-}
-
-func (t *timeout) get() time.Duration { return time.Duration(t.Load()) }
-
-// set installs d and returns a restore function for tests.
-func (t *timeout) set(d time.Duration) func() {
-	old := t.Swap(int64(d))
-	return func() { t.Store(old) }
+// SpawnWorker starts one worker process for a coordinator of either wire
+// backend: argv when given, else this binary re-executed (its main
+// diverts into the worker loop through MaybeWorker), with env — the
+// coordinator address and world token — added to the inherited
+// environment and stderr shared. Reaping is the caller's policy: dist
+// fails the world when a worker exits mid-run, elastic treats the exit as
+// the trigger for recovery.
+func SpawnWorker(argv []string, env ...string) (*exec.Cmd, error) {
+	if len(argv) == 0 {
+		exe, err := os.Executable()
+		if err != nil {
+			return nil, fmt.Errorf("locating own binary: %w", err)
+		}
+		argv = []string{exe}
+	}
+	cmd := exec.Command(argv[0], argv[1:]...)
+	cmd.Env = append(os.Environ(), env...)
+	cmd.Stderr = os.Stderr
+	if err := cmd.Start(); err != nil {
+		return nil, fmt.Errorf("spawning worker: %w", err)
+	}
+	return cmd, nil
 }
 
 // MaybeWorker turns the current process into a dist worker when it was
@@ -187,28 +176,12 @@ func ServeConn(conn net.Conn, token string) error {
 // path is the verbatim push: an opSend frame arriving here was routed by
 // the coordinator down the *destination's* connection — this worker's
 // rank is the addressee — so its body goes straight back up as an
-// opDeliver, untouched. opRelay frames (peer-routing mode) are instead
-// re-headered and forwarded across the worker↔worker data plane. Every
-// writer follows the flush-on-idle discipline: frames accumulate in the
-// connection's Writer while more input is already buffered, and flush as
-// one (possibly multi-message) frame the moment the loop would block.
+// opDeliver, untouched. The control Writer follows the flush-on-idle
+// discipline: frames accumulate while more input is already buffered,
+// and flush as one (possibly multi-message) frame the moment the loop
+// would block.
 func serveWorld(conn net.Conn, br *bufio.Reader, token string, first bool) error {
-	// Peer listener: other workers dial here, per world so its lifetime
-	// and secret are the world's. Bind the interface the coordinator
-	// reached us on so multi-host attach topologies work; a unix-domain
-	// control connection has no host, so the peer plane (always TCP)
-	// binds loopback — unix control implies a same-host world.
-	host := "127.0.0.1"
-	if h, _, err := net.SplitHostPort(conn.LocalAddr().String()); err == nil && h != "" {
-		host = h
-	}
-	peerLn, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
-	if err != nil {
-		return fmt.Errorf("dist: worker peer listener: %w", err)
-	}
-	defer peerLn.Close()
-
-	if err := WriteFrame(conn, opHello, helloBody(token, peerLn.Addr().String(), os.Getpid())); err != nil {
+	if err := WriteFrame(conn, opHello, HelloBody(token, os.Getpid())); err != nil {
 		if first {
 			return fmt.Errorf("dist: worker hello: %w", err)
 		}
@@ -224,28 +197,12 @@ func serveWorld(conn net.Conn, br *bufio.Reader, token string, first bool) error
 	if op != opAssign {
 		return fmt.Errorf("dist: worker expected assign frame, got op %d", op)
 	}
-	rank, n, peerSecret, addrs, err := parseAssign(body)
+	rank, _, err := parseAssign(body)
 	if err != nil {
 		return err
 	}
-	if rank < 0 || rank >= n {
-		return fmt.Errorf("dist: assigned rank %d outside world of %d", rank, n)
-	}
-
-	w := &worker{
-		rank:    rank,
-		n:       n,
-		addrs:   addrs,
-		secret:  peerSecret,
-		peers:   make([]*Writer, n),
-		conns:   make([]net.Conn, n),
-		control: NewWriter(conn),
-	}
-	w.crash = os.Getenv(envCrashRank) == strconv.Itoa(rank)
-	w.crashPush = os.Getenv(envCrashPushRank) == strconv.Itoa(rank)
-	defer w.closeConns()
-
-	go w.acceptPeers(peerLn)
+	crash := os.Getenv(envCrashRank) == strconv.Itoa(rank)
+	control := NewWriter(conn)
 
 	if err := WriteFrame(conn, opReady, nil); err != nil {
 		return fmt.Errorf("dist: worker ready: %w", err)
@@ -253,12 +210,12 @@ func serveWorld(conn net.Conn, br *bufio.Reader, token string, first bool) error
 
 	// The control loop: read the coordinator's frames directly (nothing
 	// here blocks on anything but the connection, so a vanished
-	// coordinator unblocks the loop by failing the read), flushing dirty
-	// writers only when no further frame is already buffered. Frames land
-	// in a reused scratch buffer: every dispatch arm copies the body
-	// onward (into the control Writer's pending buffer or fwdBuf) before
-	// the next read, so the loop is allocation-free in steady state.
-	var ctrlBuf, fwdBuf []byte
+	// coordinator unblocks the loop by failing the read), flushing only
+	// when no further frame is already buffered. Frames land in a reused
+	// scratch buffer: every dispatch arm copies the body into the control
+	// Writer's pending buffer before the next read, so the loop is
+	// allocation-free in steady state.
+	var ctrlBuf []byte
 	for {
 		op, body, err := readFrameInto(br, &ctrlBuf)
 		if err != nil {
@@ -270,36 +227,16 @@ func serveWorld(conn net.Conn, br *bufio.Reader, token string, first bool) error
 		err = forEachFrame(op, body, func(op byte, b []byte) error {
 			switch op {
 			case opSend:
-				// Destination-routed message for this worker's rank.
-				if w.crash {
+				if crash {
 					// Test hook: die exactly where a real fault would —
 					// mid-run, with ranks blocked on messages that will
 					// never arrive.
 					os.Exit(3)
 				}
-				if w.crashPush {
-					os.Exit(3)
-				}
-				return w.control.Write(opDeliver, b)
-			case opRelay:
-				// Source-routed message from this worker's rank: carry it
-				// across the peer plane.
-				if w.crash {
-					os.Exit(3)
-				}
-				dst, tag, metered, payload, err := parseMsgHeader(b)
-				if err != nil {
-					return err
-				}
-				if dst < 0 || dst >= n {
-					return fmt.Errorf("dist: worker %d: relay to invalid rank %d", rank, dst)
-				}
-				fwdBuf = appendMsgHeader(fwdBuf[:0], w.rank, tag, metered)
-				fwdBuf = append(fwdBuf, payload...)
-				return w.forward(dst, fwdBuf)
+				return control.Write(opDeliver, b)
 			case opFinish:
 				// Finish barrier: acknowledge, then tear down.
-				if err := w.control.Write(opBye, nil); err != nil {
+				if err := control.Write(opBye, nil); err != nil {
 					return fmt.Errorf("dist: worker %d: bye: %w", rank, err)
 				}
 				return errWorldFinished
@@ -308,11 +245,14 @@ func serveWorld(conn net.Conn, br *bufio.Reader, token string, first bool) error
 			}
 		})
 		if errors.Is(err, errWorldFinished) {
-			return w.flushAll()
+			return flushControl(control, rank)
+		}
+		if err == nil && !pendingFrame(br) {
+			err = flushControl(control, rank)
 		}
 		if err != nil {
 			if connIOErr(err) {
-				// A delivery push or relay failed at the socket level: the
+				// A delivery push failed at the socket level: the
 				// coordinator tore the world down (cancellation, a peer's
 				// failure) while frames were in flight. That is the same
 				// quiet exit as the read path seeing the connection close —
@@ -321,15 +261,16 @@ func serveWorld(conn net.Conn, br *bufio.Reader, token string, first bool) error
 			}
 			return err
 		}
-		if !pendingFrame(br) {
-			if err := w.flushAll(); err != nil {
-				if connIOErr(err) {
-					return errConnDone
-				}
-				return err
-			}
-		}
 	}
+}
+
+// flushControl puts the worker's pending pushes on the wire — the control
+// loop's idle point.
+func flushControl(control *Writer, rank int) error {
+	if err := control.Flush(); err != nil {
+		return fmt.Errorf("dist: worker %d flushing control: %w", rank, err)
+	}
+	return nil
 }
 
 // connIOErr distinguishes connection-level I/O failures (the world is
@@ -339,199 +280,4 @@ func connIOErr(err error) bool {
 	var op *net.OpError
 	return errors.As(err, &op) || errors.Is(err, net.ErrClosed) ||
 		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
-}
-
-// worker is one rank's message endpoint for one world: pushing messages
-// addressed to its rank up to the coordinator and, in peer-routing mode,
-// relaying its rank's sends across the worker↔worker data plane.
-type worker struct {
-	rank, n int
-	addrs   []string
-	// secret is the world's peer-plane secret from the assign frame:
-	// sent in every outgoing peerhello, required on every incoming one.
-	secret string
-	// peers/conns are this worker's outbound data plane, lazily dialed,
-	// control-loop only.
-	peers []*Writer
-	conns []net.Conn
-	// control carries opDeliver pushes (from the control loop's verbatim
-	// path and the peer-reader goroutines) and the finish bye; Writer
-	// serializes them.
-	control *Writer
-	crash   bool
-	// crashPush is the envCrashPushRank hook: exit just before the first
-	// delivery push.
-	crashPush bool
-
-	// mu guards the inbound data connections accepted by acceptPeers so
-	// closeConns can tear them down at world end; done marks the world
-	// over, making late accepts close immediately.
-	mu      sync.Mutex
-	inbound []net.Conn
-	done    bool
-}
-
-// forward routes an already-headered message (src, tag, metered,
-// payload) from this worker's rank toward dst: a delivery straight back
-// up the control conn for self-sends, a peer connection otherwise
-// (dialed with a bounded timeout on first use — a dead peer address
-// fails the world promptly instead of hanging for the OS connect
-// timeout). The frame lands in the destination's Writer; the control
-// loop flushes on idle.
-func (w *worker) forward(dst int, body []byte) error {
-	if dst == w.rank {
-		if err := w.control.Write(opDeliver, body); err != nil {
-			return fmt.Errorf("dist: worker %d: self delivery: %w", w.rank, err)
-		}
-		return nil
-	}
-	pw := w.peers[dst]
-	if pw == nil {
-		c, err := net.DialTimeout("tcp", w.addrs[dst], peerDialTimeout.get())
-		if err != nil {
-			return fmt.Errorf("dist: worker %d dialing peer %d: %w", w.rank, dst, err)
-		}
-		pw = NewWriter(c)
-		// The peerhello rides the same flush as the first data frame.
-		if err := pw.Write(opPeerHello, peerHelloBody(w.rank, w.secret)); err != nil {
-			c.Close()
-			return fmt.Errorf("dist: worker %d greeting peer %d: %w", w.rank, dst, err)
-		}
-		w.peers[dst], w.conns[dst] = pw, c
-	}
-	if err := pw.Write(opData, body); err != nil {
-		return fmt.Errorf("dist: worker %d forwarding to peer %d: %w", w.rank, dst, err)
-	}
-	return nil
-}
-
-// flushAll flushes every dirty writer this worker owns — the control
-// loop's idle point.
-func (w *worker) flushAll() error {
-	for dst, pw := range w.peers {
-		if pw == nil {
-			continue
-		}
-		if err := pw.Flush(); err != nil {
-			return fmt.Errorf("dist: worker %d flushing peer %d: %w", w.rank, dst, err)
-		}
-	}
-	if err := w.control.Flush(); err != nil {
-		return fmt.Errorf("dist: worker %d flushing control: %w", w.rank, err)
-	}
-	return nil
-}
-
-// acceptPeers drains incoming peer connections, one reader goroutine per
-// peer, each pushing arrived messages up the control conn as opDeliver
-// frames. The accept loop ends when the peer listener closes (world
-// teardown); closeConns closes the accepted connections themselves,
-// unblocking their readers, so neither goroutines nor fds outlive the
-// world.
-func (w *worker) acceptPeers(l net.Listener) {
-	for {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		if !w.trackInbound(c) {
-			c.Close()
-			return
-		}
-		go w.servePeer(c)
-	}
-}
-
-// trackInbound registers an accepted data connection for world-end
-// teardown, reporting false once the world is already over.
-func (w *worker) trackInbound(c net.Conn) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.done {
-		return false
-	}
-	w.inbound = append(w.inbound, c)
-	return true
-}
-
-// servePeer validates one inbound data connection (the peerhello must
-// arrive within peerHelloTimeout — a connection that sends nothing may
-// not pin this goroutine forever) and then pushes every opData message
-// up the control connection, batch-expanding coalesced frames and
-// flushing on idle.
-func (w *worker) servePeer(c net.Conn) {
-	defer c.Close()
-	br := bufio.NewReader(c)
-	c.SetReadDeadline(time.Now().Add(peerHelloTimeout.get())) //nolint:errcheck // enforced by the read
-	// from stays -1 until a valid peerhello: the dialer coalesces its
-	// peerhello into one batch container with the first data frames, so
-	// the handshake is the first *logical* frame, not the first physical
-	// one, and validation happens inside the batch expansion.
-	from := -1
-	var buf, readBuf []byte
-	for {
-		op, body, err := readFrameInto(br, &readBuf)
-		if err != nil {
-			return
-		}
-		c.SetReadDeadline(time.Time{}) //nolint:errcheck // handshake deadline served its purpose
-		err = forEachFrame(op, body, func(op byte, b []byte) error {
-			if from < 0 {
-				if op != opPeerHello {
-					return fmt.Errorf("dist: peer connection opened with op %d, not peerhello", op)
-				}
-				f, secret, err := parsePeerHello(b)
-				if err != nil || f < 0 || f >= w.n || secret != w.secret {
-					// Wrong world (or not a worker at all): drop the
-					// connection before any data frame reaches the
-					// coordinator.
-					return fmt.Errorf("dist: bad peerhello")
-				}
-				from = f
-				return nil
-			}
-			if op != opData {
-				return fmt.Errorf("dist: unexpected peer op %d", op)
-			}
-			src, tag, metered, payload, err := parseMsgHeader(b)
-			if err != nil || src != from {
-				return fmt.Errorf("dist: bad peer data frame")
-			}
-			if w.crashPush {
-				// Test hook: die mid-push, after the message crossed the
-				// peer plane but before its delivery reaches the
-				// coordinator inbox.
-				os.Exit(3)
-			}
-			buf = appendMsgHeader(buf[:0], src, tag, metered)
-			buf = append(buf, payload...)
-			return w.control.Write(opDeliver, buf)
-		})
-		if err != nil {
-			return
-		}
-		if !pendingFrame(br) {
-			if err := w.control.Flush(); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// closeConns tears down the worker's data plane at world end: outbound
-// peer connections and every accepted inbound connection (whose readers
-// unblock and exit).
-func (w *worker) closeConns() {
-	for _, c := range w.conns {
-		if c != nil {
-			c.Close()
-		}
-	}
-	w.mu.Lock()
-	inbound := w.inbound
-	w.inbound, w.done = nil, true
-	w.mu.Unlock()
-	for _, c := range inbound {
-		c.Close()
-	}
 }

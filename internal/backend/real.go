@@ -9,8 +9,8 @@ import (
 )
 
 // Real returns the shared-memory backend: SPMD processes run as goroutines
-// exchanging data through native channels at hardware speed, with no
-// virtual pricing. Compute charges are discarded (real computation takes
+// exchanging data through the in-process mailbox at hardware speed, with
+// no virtual pricing. Compute charges are discarded (real computation takes
 // real time), clocks read elapsed wall-clock time, and the makespan is the
 // run's wall-clock duration. Messages and bytes are counted exactly as the
 // simulator counts them, so communication volume is comparable across
@@ -50,8 +50,8 @@ func (r realRunner) NewTransport(ctx context.Context, n int, m *machine.Model) T
 	return &realTransport{mailbox: newMailbox(ctx, n), elapsed: elapsed, rec: obs.RunRecorder(ctx, n, "real")}
 }
 
-// realTransport carries messages at native channel speed and meters the
-// run with the host clock.
+// realTransport carries messages through the mailbox at host speed and
+// meters the run with the host clock.
 type realTransport struct {
 	*mailbox
 	// elapsed reads seconds since the transport (the run) was created.

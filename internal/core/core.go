@@ -17,10 +17,11 @@
 //
 // Step 4 runs on a pluggable execution backend (package backend): the
 // virtual-time simulator (backend.Sim, the default, deterministic
-// makespans from a machine.Model) or the real shared-memory backend
-// (backend.Real, goroutines over native channels metered by the wall
-// clock). An Experiment selects its backend via the Backend field; Run
-// and Simulate are the one-shot entry points. Sweeping a whole matrix of
+// makespans from a machine.Model), the real shared-memory backend
+// (backend.Real, goroutines over the in-process mailbox metered by the
+// wall clock), or any other registered runner such as dist or elastic.
+// An Experiment selects its backend via the Backend field; Run and
+// Simulate are the one-shot entry points. Sweeping a whole matrix of
 // experiments concurrently is package sched's job.
 //
 // The two archetypes the paper develops — one-deep divide and conquer and

@@ -300,6 +300,10 @@ func TestRestartBudgetExhausted(t *testing.T) {
 	if !strings.Contains(err.Error(), "restart budget") {
 		t.Fatalf("error = %v, want restart-budget exhaustion", err)
 	}
+	// The error must say why the host died, not only that it did.
+	if !strings.Contains(err.Error(), "killed by fault injection") {
+		t.Fatalf("error = %v, want the host's cause of death", err)
+	}
 	if inj.Fired("elastic.rank.op") < 3 {
 		t.Errorf("injector fired %d times, want >= 3 (budget is 2 restarts)", inj.Fired("elastic.rank.op"))
 	}

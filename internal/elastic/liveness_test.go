@@ -18,6 +18,10 @@ import (
 	"repro/internal/spmd"
 )
 
+// helloBody is the shared hello codec under the name the hand-rolled
+// workers here use.
+var helloBody = dist.HelloBody
+
 // silentWorker attaches with a valid handshake and then never answers
 // anything again — the wedged-process failure mode TCP cannot report: the
 // connection stays open, reads succeed, but no pong (or pop response)

@@ -2,13 +2,15 @@ package elastic
 
 import (
 	"encoding/binary"
-	"fmt"
 	"time"
+
+	"repro/internal/backend/dist"
 )
 
 // The elastic control protocol rides the dist backend's length-prefixed
-// frame format ([u32 BE length][u8 op][body], see dist.ReadFrame) with
-// its own op space. One TCP connection per worker carries everything:
+// frame format ([u32 BE length][u8 op][body], see dist.ReadFrame) and
+// body codec with its own op space. One TCP connection per worker
+// carries everything:
 //
 //   - handshake: hello (worker → coordinator: token, pid) answered by
 //     welcome (worker id, heartbeat interval);
@@ -35,76 +37,10 @@ const (
 	opBye
 )
 
-// maxBody bounds parsed frame fields against corrupt lengths.
-const maxBody = 1 << 30
-
-type cursor struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (c *cursor) fail() {
-	if c.err == nil {
-		c.err = fmt.Errorf("elastic: truncated frame body at offset %d", c.off)
-	}
-}
-
-func (c *cursor) u32() uint32 {
-	if c.err != nil || c.off+4 > len(c.b) {
-		c.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint32(c.b[c.off:])
-	c.off += 4
-	return v
-}
-
-func (c *cursor) u64() uint64 {
-	if c.err != nil || c.off+8 > len(c.b) {
-		c.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(c.b[c.off:])
-	c.off += 8
-	return v
-}
-
-func (c *cursor) str() string {
-	n, w := binary.Uvarint(c.b[c.off:])
-	if c.err != nil || w <= 0 || n > uint64(len(c.b)-c.off-w) {
-		c.fail()
-		return ""
-	}
-	s := string(c.b[c.off+w : c.off+w+int(n)])
-	c.off += w + int(n)
-	return s
-}
-
-func (c *cursor) rest() []byte {
-	if c.err != nil {
-		return nil
-	}
-	return c.b[c.off:]
-}
-
-func appendStr(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// hello (worker → coordinator): authenticate.
-func helloBody(token string, pid int) []byte {
-	buf := appendStr(nil, token)
-	return binary.BigEndian.AppendUint64(buf, uint64(pid))
-}
-
-func parseHello(b []byte) (token string, pid int, err error) {
-	c := &cursor{b: b}
-	token = c.str()
-	pid = int(c.u64())
-	return token, pid, c.err
-}
+// Elastic bodies reuse the dist codec: hello is dist.HelloBody, msg is a
+// dist.AppendMsgHeader header plus payload, and enq is that same msg body
+// behind a rank prefix — so a worker stores an enq body's tail verbatim
+// as the msg it will answer a pop with.
 
 // welcome (coordinator → worker): attach acknowledgment.
 func welcomeBody(id int, heartbeat time.Duration) []byte {
@@ -113,56 +49,41 @@ func welcomeBody(id int, heartbeat time.Duration) []byte {
 }
 
 func parseWelcome(b []byte) (id int, heartbeat time.Duration, err error) {
-	c := &cursor{b: b}
-	id = int(c.u32())
-	heartbeat = time.Duration(c.u64())
-	return id, heartbeat, c.err
+	c := dist.NewCursor(b)
+	id = int(c.U32())
+	heartbeat = time.Duration(c.U64())
+	return id, heartbeat, c.Err()
 }
 
-// enq (coordinator → worker): store a message for a hosted rank. msg
-// (worker → coordinator) reuses the same body shape minus the rank field
-// prefix — pop names the (rank, src) pair, msg echoes (src, tag, metered,
-// payload).
+// enq (coordinator → worker): store a message for a hosted rank.
 func enqBody(rank, src, tag, metered int, payload []byte) []byte {
-	buf := make([]byte, 0, 24+len(payload))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(rank))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(src))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(int64(tag)))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(int64(metered)))
+	buf := binary.BigEndian.AppendUint32(make([]byte, 0, 24+len(payload)), uint32(rank))
+	buf = dist.AppendMsgHeader(buf, src, tag, metered)
 	return append(buf, payload...)
 }
 
-func parseEnq(b []byte) (rank, src, tag, metered int, payload []byte, err error) {
-	c := &cursor{b: b}
-	rank, src = int(c.u32()), int(c.u32())
-	tag = int(int64(c.u64()))
-	metered = int(int64(c.u64()))
-	return rank, src, tag, metered, c.rest(), c.err
+// parseEnq decodes an enq body: the hosted rank, the message's source,
+// and msg — the body's tail after the rank prefix, which is the msg body
+// answering the pop that retrieves it (aliasing b).
+func parseEnq(b []byte) (rank, src int, msg []byte, err error) {
+	c := dist.NewCursor(b)
+	rank = int(c.U32())
+	msg = c.Rest()
+	if err := c.Err(); err != nil {
+		return 0, 0, nil, err
+	}
+	src, _, _, _, err = dist.ParseMsgHeader(msg)
+	return rank, src, msg, err
 }
 
+// pop (coordinator → worker): request the head of the (rank, src) inbox.
 func popBody(rank, src int) []byte {
 	buf := binary.BigEndian.AppendUint32(nil, uint32(rank))
 	return binary.BigEndian.AppendUint32(buf, uint32(src))
 }
 
 func parsePop(b []byte) (rank, src int, err error) {
-	c := &cursor{b: b}
-	rank, src = int(c.u32()), int(c.u32())
-	return rank, src, c.err
-}
-
-func msgBody(src, tag, metered int, payload []byte) []byte {
-	buf := make([]byte, 0, 20+len(payload))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(src))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(int64(tag)))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(int64(metered)))
-	return append(buf, payload...)
-}
-
-func parseMsg(b []byte) (src, tag, metered int, payload []byte, err error) {
-	c := &cursor{b: b}
-	src = int(c.u32())
-	tag = int(int64(c.u64()))
-	metered = int(int64(c.u64()))
-	return src, tag, metered, c.rest(), c.err
+	c := dist.NewCursor(b)
+	rank, src = int(c.U32()), int(c.U32())
+	return rank, src, c.Err()
 }

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"os/exec"
 	"sync"
 	"time"
@@ -59,6 +58,9 @@ type rankState struct {
 	// epoch counts this attempt's completed operations — the
 	// fault-injection coordinate.
 	epoch int
+	// lost is why the rank's last host was declared dead, carried into
+	// the attempt's reschedule error.
+	lost error
 }
 
 // wlink is the coordinator's connection to one worker endpoint. All I/O
@@ -86,13 +88,15 @@ type counter struct {
 // rescheduleError is the control-flow sentinel an attempt's transport
 // operations raise (wrapped in backend.Canceled) when the rank's host
 // worker died: the rank body unwinds, Drive catches the error, and the
-// rank is re-executed from its checkpoint on another worker.
+// rank is re-executed from its checkpoint on another worker. cause is why
+// the host was declared dead.
 type rescheduleError struct {
-	rank int
+	rank  int
+	cause error
 }
 
 func (e *rescheduleError) Error() string {
-	return fmt.Sprintf("elastic: rank %d lost its host worker; rescheduling", e.rank)
+	return fmt.Sprintf("elastic: rank %d lost its host worker (%v)", e.rank, e.cause)
 }
 
 // transport is the coordinator side of one elastic run.
@@ -188,24 +192,10 @@ func (r *runner) start(ctx context.Context, n int) (*transport, error) {
 			}()
 		}
 	} else {
-		env := append(os.Environ(),
-			envWorker+"="+ln.Addr().String(),
-			envToken+"="+t.token)
 		for i := 0; i < pool; i++ {
-			var cmd *exec.Cmd
-			if len(r.workerCmd) > 0 {
-				cmd = exec.CommandContext(ctx, r.workerCmd[0], r.workerCmd[1:]...)
-			} else {
-				exe, err := os.Executable()
-				if err != nil {
-					return nil, fmt.Errorf("locating own binary: %w", err)
-				}
-				cmd = exec.CommandContext(ctx, exe)
-			}
-			cmd.Env = env
-			cmd.Stderr = os.Stderr
-			if err := cmd.Start(); err != nil {
-				return nil, fmt.Errorf("spawning worker %d: %w", i, err)
+			cmd, err := dist.SpawnWorker(r.workerCmd, envWorker+"="+ln.Addr().String(), envToken+"="+t.token)
+			if err != nil {
+				return nil, err
 			}
 			t.procs = append(t.procs, cmd)
 		}
@@ -217,7 +207,7 @@ func (r *runner) start(ctx context.Context, n int) (*transport, error) {
 			go func(cmd *exec.Cmd) {
 				defer t.procWG.Done()
 				pid := cmd.Process.Pid
-				cmd.Wait() //nolint:errcheck // the exit itself is the event
+				werr := cmd.Wait()
 				t.mu.Lock()
 				defer t.mu.Unlock()
 				if t.finishing || t.err != nil {
@@ -225,7 +215,7 @@ func (r *runner) start(ctx context.Context, n int) (*transport, error) {
 				}
 				for _, w := range t.workers {
 					if w.pid == pid && !w.dead {
-						t.declareDeadLocked(w, fmt.Errorf("worker process %d exited mid-run", pid))
+						t.declareDeadLocked(w, fmt.Errorf("worker process %d exited mid-run: %v", pid, werr))
 					}
 				}
 			}(cmd)
@@ -291,7 +281,7 @@ func (t *transport) admit(c net.Conn) {
 		c.Close()
 		return
 	}
-	token, pid, err := parseHello(body)
+	token, pid, err := dist.ParseHello(body)
 	if err != nil || token != t.token {
 		// Wrong world (or not a worker at all): drop before it can host
 		// anything.
@@ -385,10 +375,10 @@ func (t *transport) declareDeadLocked(w *wlink, cause error) {
 	if t.rec != nil {
 		t.rec.EmitSys(obs.Event{T: t.rec.Now(), Rank: -1, Peer: int32(w.id), Kind: obs.KindDeclaredDead})
 	}
-	_ = cause
 	for rank := range w.ranks {
 		if rs := &t.ranks[rank]; rs.host == w {
 			rs.host = nil
+			rs.lost = fmt.Errorf("worker %d: %w", w.id, cause)
 		}
 	}
 	t.cond.Broadcast()
@@ -438,7 +428,7 @@ func (t *transport) checkLiveLocked(rank int) *rankState {
 	}
 	rs := &t.ranks[rank]
 	if rs.host == nil || rs.host.dead {
-		panic(backend.Canceled(&rescheduleError{rank: rank}))
+		panic(backend.Canceled(&rescheduleError{rank: rank, cause: rs.lost}))
 	}
 	return rs
 }
@@ -478,7 +468,7 @@ func (t *transport) opDoneLocked(rank int, rs *rankState) {
 func (t *transport) enqLocked(w *wlink, rank int, m msgRec) error {
 	err := t.writeLocked(w, opEnq, enqBody(rank, m.src, m.tag, m.metered, m.payload))
 	if err != nil {
-		t.declareDeadLocked(w, fmt.Errorf("enq to worker %d: %w", w.id, err))
+		t.declareDeadLocked(w, fmt.Errorf("enq: %w", err))
 	}
 	return err
 }
@@ -508,7 +498,7 @@ func (t *transport) popLocked(w *wlink, rank, src int) (msgRec, error) {
 		if op != opMsg {
 			return msgRec{}, fmt.Errorf("expected msg frame, got op %d", op)
 		}
-		msrc, tag, metered, payload, err := parseMsg(body)
+		msrc, tag, metered, payload, err := dist.ParseMsgHeader(body)
 		if err != nil {
 			return msgRec{}, err
 		}
@@ -644,8 +634,8 @@ func (t *transport) recv(dst, src, tag int) (int, any) {
 		// The pop ran on dst's own host: its death is dst's reschedule.
 		// The message was not logged and stays in the shadow queue, so
 		// the re-execution redelivers it — no loss, no duplicate.
-		t.declareDeadLocked(w, fmt.Errorf("pop from worker %d: %w", w.id, err))
-		panic(backend.Canceled(&rescheduleError{rank: dst}))
+		t.declareDeadLocked(w, fmt.Errorf("pop: %w", err))
+		panic(backend.Canceled(&rescheduleError{rank: dst, cause: rs.lost}))
 	}
 	if popped.src != m.src || popped.tag != m.tag || popped.metered != m.metered || !bytes.Equal(popped.payload, m.payload) {
 		perr := fmt.Errorf("elastic: rank %d: worker %d delivered a message diverging from the shadow queue (src %d/%d tag %d/%d)",
@@ -701,7 +691,7 @@ func (t *transport) pickWorkerLocked() *wlink {
 // another worker).
 func (t *transport) leaseLocked(rank int, w *wlink) bool {
 	rs := &t.ranks[rank]
-	rs.host = w
+	rs.host, rs.lost = w, nil
 	w.ranks[rank] = struct{}{}
 	for _, m := range rs.queue {
 		if t.enqLocked(w, rank, m) != nil {

@@ -96,7 +96,7 @@ func Join(ctx context.Context, addr, token string) error {
 // error) as opposed to a reconnectable link loss.
 func serveConn(conn net.Conn, token string) (attached, done bool, err error) {
 	defer conn.Close()
-	if err := dist.WriteFrame(conn, opHello, helloBody(token, os.Getpid())); err != nil {
+	if err := dist.WriteFrame(conn, opHello, dist.HelloBody(token, os.Getpid())); err != nil {
 		return false, false, nil
 	}
 	br := bufio.NewReader(conn)
@@ -124,12 +124,14 @@ func serveConn(conn net.Conn, token string) (attached, done bool, err error) {
 		}
 		switch op {
 		case opEnq:
-			rank, src, tag, metered, payload, err := parseEnq(body)
+			// ReadFrame hands over a fresh body, so the msg tail is
+			// stored as is: a pop answers with it verbatim.
+			rank, src, msg, err := parseEnq(body)
 			if err != nil {
 				return true, true, err
 			}
 			k := key{rank, src}
-			inbox[k] = append(inbox[k], msgBody(src, tag, metered, payload))
+			inbox[k] = append(inbox[k], msg)
 		case opPop:
 			rank, src, err := parsePop(body)
 			if err != nil {
