@@ -263,3 +263,8 @@ func BenchmarkDistAllReduce(b *testing.B) { hostbench.BenchDistAllReduce(b) }
 // BenchmarkDistPingPong measures per-message latency across worker
 // processes over loopback TCP (1000 round trips per op).
 func BenchmarkDistPingPong(b *testing.B) { hostbench.BenchDistPingPong(b) }
+
+// BenchmarkElasticPingPong is BenchmarkDistPingPong on the elastic
+// backend: the same 1000 round trips per op, with worker processes
+// self-spawned from this test binary (see TestMain).
+func BenchmarkElasticPingPong(b *testing.B) { hostbench.BenchElasticPingPong(b) }

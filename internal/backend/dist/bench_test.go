@@ -2,6 +2,7 @@ package dist_test
 
 import (
 	"context"
+	"io"
 	"testing"
 
 	"repro/internal/backend/dist"
@@ -18,6 +19,7 @@ import (
 func BenchmarkPingPong(b *testing.B) {
 	model := machine.IBMSP()
 	r := dist.New(dist.WithWorkerPool())
+	defer r.(io.Closer).Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -60,6 +60,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -140,9 +141,10 @@ func WithInjector(in *faultinject.Injector) Option {
 // rank (a ~50× cut in world-start latency on a loopback host). Failed or
 // cancelled worlds kill their workers instead of pooling them, and a
 // pooled worker that dies while idle is discarded on reuse. Pooled
-// workers live until the coordinator process exits (their connections
-// close with it); use the default spawn-per-world mode when worker
-// processes must not outlive their run.
+// workers live until the runner is closed — the returned runner
+// implements io.Closer — or the coordinator process exits; use the
+// default spawn-per-world mode when worker processes must not outlive
+// their run.
 func WithWorkerPool() Option {
 	return func(r *runner) { r.pool = &workerPool{} }
 }
@@ -160,6 +162,18 @@ func New(opts ...Option) backend.Runner {
 }
 
 func (r *runner) Name() string { return "dist" }
+
+// Close releases a pooled runner's parked workers: their connections
+// close, their processes are killed and reaped, and the pool's control
+// listener shuts. A world still running when Close is called kills its
+// workers at teardown instead of parking them, and worlds started after
+// Close fail. Close is a no-op on a runner without WithWorkerPool.
+func (r *runner) Close() error {
+	if r.pool != nil {
+		r.pool.close()
+	}
+	return nil
+}
 
 // Virtual reports false: dist runs are wall-clock measurements (and spawn
 // real processes), so sweeps serialize them like the real backend's.
@@ -257,9 +271,10 @@ type pooledWorker struct {
 
 // workerPool parks cleanly finished workers between a runner's worlds.
 type workerPool struct {
-	mu   sync.Mutex
-	cp   *controlPlane
-	idle []*pooledWorker
+	mu     sync.Mutex
+	cp     *controlPlane
+	idle   []*pooledWorker
+	closed bool
 }
 
 // ensure lazily builds the pool's control plane; pooled workers must all
@@ -267,6 +282,9 @@ type workerPool struct {
 func (wp *workerPool) ensure() (*controlPlane, error) {
 	wp.mu.Lock()
 	defer wp.mu.Unlock()
+	if wp.closed {
+		return nil, errors.New("worker pool closed")
+	}
 	if wp.cp == nil {
 		cp, err := newControlPlane()
 		if err != nil {
@@ -298,8 +316,36 @@ func (wp *workerPool) get() *pooledWorker {
 
 func (wp *workerPool) put(pw *pooledWorker) {
 	wp.mu.Lock()
-	wp.idle = append(wp.idle, pw)
+	closed := wp.closed
+	if !closed {
+		wp.idle = append(wp.idle, pw)
+	}
 	wp.mu.Unlock()
+	if closed {
+		pw.release()
+	}
+}
+
+// close releases every parked worker and the control plane; later puts
+// release their worker at once.
+func (wp *workerPool) close() {
+	wp.mu.Lock()
+	idle, cp := wp.idle, wp.cp
+	wp.idle, wp.cp, wp.closed = nil, nil, true
+	wp.mu.Unlock()
+	for _, pw := range idle {
+		pw.release()
+	}
+	if cp != nil {
+		cp.close()
+	}
+}
+
+// release closes a parked worker's connection and kills and reaps its
+// process.
+func (pw *pooledWorker) release() {
+	pw.c.Close()
+	pw.p.kill()
 }
 
 // start acquires the workers (pool, spawn, or attach) and runs the
@@ -838,7 +884,7 @@ func (t *transport) popMsg(dst, src int) inMsg {
 		if ok {
 			return m
 		}
-		op, body, err := readFrameInto(wc.br, &t.recvBufs[dst])
+		op, body, err := ReadFrameInto(wc.br, &t.recvBufs[dst])
 		if err != nil {
 			t.raise(dst, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"runtime"
@@ -434,6 +435,7 @@ func TestDistWorkerPoolReuse(t *testing.T) {
 		t.Skip("kernel does not expose the children listing")
 	}
 	r := dist.New(dist.WithWorkerPool())
+	defer r.(io.Closer).Close()
 	run := func() {
 		if _, err := runOn(t, r, 2, func(p *spmd.Proc) {
 			peer := 1 - p.Rank()

@@ -26,15 +26,15 @@ func FuzzReadFrame(f *testing.F) {
 		var scratch []byte
 		for off := 0; ; {
 			op, body, err := ReadFrame(br)
-			opInto, bodyInto, errInto := readFrameInto(brInto, &scratch)
+			opInto, bodyInto, errInto := ReadFrameInto(brInto, &scratch)
 			if (err == nil) != (errInto == nil) {
-				t.Fatalf("ReadFrame err %v, readFrameInto err %v", err, errInto)
+				t.Fatalf("ReadFrame err %v, ReadFrameInto err %v", err, errInto)
 			}
 			if err != nil {
 				return
 			}
 			if op != opInto || !bytes.Equal(body, bodyInto) {
-				t.Fatalf("ReadFrame and readFrameInto disagree: op %d/%d, %d/%d body bytes", op, opInto, len(body), len(bodyInto))
+				t.Fatalf("ReadFrame and ReadFrameInto disagree: op %d/%d, %d/%d body bytes", op, opInto, len(body), len(bodyInto))
 			}
 			if c := max(cap(body), cap(scratch)); c > allocBound(len(data)) {
 				t.Fatalf("%d input bytes grew a %d-byte body buffer", len(data), c)

@@ -101,7 +101,7 @@ func ReadFrame(br *bufio.Reader) (op byte, body []byte, err error) {
 	return hdr[4], body, nil
 }
 
-// readFrameInto is ReadFrame for single-reader hot loops: the body lands
+// ReadFrameInto is ReadFrame for single-reader hot loops: the body lands
 // in *scratch (grown as needed and retained across calls), so a loop
 // that consumes or copies each frame before the next read allocates
 // nothing in steady state. The returned body aliases *scratch and is
@@ -109,7 +109,7 @@ func ReadFrame(br *bufio.Reader) (op byte, body []byte, err error) {
 // peeked out of the bufio buffer rather than read through io.ReadFull,
 // whose interface indirection heap-allocates the 5-byte scratch on every
 // call.
-func readFrameInto(br *bufio.Reader, scratch *[]byte) (op byte, body []byte, err error) {
+func ReadFrameInto(br *bufio.Reader, scratch *[]byte) (op byte, body []byte, err error) {
 	hdr, err := br.Peek(5)
 	if err != nil {
 		return 0, nil, err

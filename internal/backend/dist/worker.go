@@ -217,7 +217,7 @@ func serveWorld(conn net.Conn, br *bufio.Reader, token string, first bool) error
 	// allocation-free in steady state.
 	var ctrlBuf []byte
 	for {
-		op, body, err := readFrameInto(br, &ctrlBuf)
+		op, body, err := ReadFrameInto(br, &ctrlBuf)
 		if err != nil {
 			// Control connection gone without a finish frame: the
 			// coordinator cancelled, crashed, or released this pooled

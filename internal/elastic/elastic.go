@@ -10,13 +10,18 @@
 // and a deterministic per-rank delivery log — and leases each rank to
 // one of a pool of worker endpoints:
 //
-//	coordinator ── enq (fire-and-forget) ──> worker hosting dst's inbox
-//	coordinator ── pop (request/response) ── worker hosting dst's inbox
+//	Send:   coordinator ── enq + pop (one write) ──> worker hosting dst
+//	reader: coordinator <── msg (the echo) ───────── worker hosting dst
+//	Recv:   shadow-queue head, once the echo matched it byte for byte
 //
 // Rank bodies execute as goroutines in the coordinating process (as on
 // dist); every payload leaves the coordinator as spmd wire-codec bytes,
-// is stored in the hosting worker's inbox, and comes back on delivery.
-// When a worker dies — detected by connection I/O errors, missed
+// is stored in the hosting worker's inbox, and is popped straight back.
+// Each worker link has one reader goroutine that owns every read on it:
+// it checks each echo against the shadow queue and only then makes the
+// message deliverable, so a receive waits on coordinator state and never
+// on the network, and no rank holds the world's lock across I/O.
+// When a worker dies — detected by its link's reader, missed
 // heartbeats, or a spawned process exiting — its hosted ranks are
 // rescheduled onto any live worker: the rank body re-executes from the
 // start, the delivery log replays every message it had already received

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -114,15 +115,19 @@ func parityCases() []parityCase {
 // kill epochs per app, hitting different ranks, exercise recovery at
 // different phases of each program; the sim backend supplies the
 // uninterrupted reference, and one clean elastic run per app proves the
-// substrate itself matches it before any faults are injected.
+// substrate itself matches it before any faults are injected. A dropped
+// link is the third fault: the connection is severed without declaring
+// the worker dead, so the link's reader must detect the loss.
 func TestKillRecoveryParity(t *testing.T) {
 	const np = 4
 	model := machine.IBMSP()
 	kills := []struct {
 		rank, epoch int
+		action      faultinject.Action
 	}{
-		{rank: 1, epoch: 0}, // a leaf rank's first completed operation
-		{rank: 0, epoch: 2}, // the root rank, several operations in
+		{rank: 1, epoch: 0, action: faultinject.Kill}, // a leaf rank's first completed operation
+		{rank: 0, epoch: 2, action: faultinject.Kill}, // the root rank, several operations in
+		{rank: 1, epoch: 0, action: faultinject.Drop}, // the leaf's link severed instead
 	}
 	for _, tc := range parityCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -174,21 +179,21 @@ func TestKillRecoveryParity(t *testing.T) {
 					Point:  "elastic.rank.op",
 					Rank:   k.rank,
 					Epoch:  k.epoch,
-					Action: faultinject.Kill,
+					Action: k.action,
 				})
 				got, res, stats := runOnce(inj)
 				if n := inj.Fired("elastic.rank.op"); n != 1 {
-					t.Fatalf("kill rank=%d epoch=%d: injector fired %d times, want 1", k.rank, k.epoch, n)
+					t.Fatalf("%v rank=%d epoch=%d: injector fired %d times, want 1", k.action, k.rank, k.epoch, n)
 				}
 				if stats.DeclaredDead < 1 || stats.Restarts < 1 {
-					t.Fatalf("kill rank=%d epoch=%d: no recovery happened: %+v", k.rank, k.epoch, stats)
+					t.Fatalf("%v rank=%d epoch=%d: no recovery happened: %+v", k.action, k.rank, k.epoch, stats)
 				}
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("kill rank=%d epoch=%d: recovered results differ from uninterrupted run", k.rank, k.epoch)
+					t.Fatalf("%v rank=%d epoch=%d: recovered results differ from uninterrupted run", k.action, k.rank, k.epoch)
 				}
 				if res.Msgs != simRes.Msgs || res.Bytes != simRes.Bytes {
-					t.Fatalf("kill rank=%d epoch=%d: meters %d msgs/%d bytes, want %d/%d (suppressed resends must not be re-metered)",
-						k.rank, k.epoch, res.Msgs, res.Bytes, simRes.Msgs, simRes.Bytes)
+					t.Fatalf("%v rank=%d epoch=%d: meters %d msgs/%d bytes, want %d/%d (suppressed resends must not be re-metered)",
+						k.action, k.rank, k.epoch, res.Msgs, res.Bytes, simRes.Msgs, simRes.Bytes)
 				}
 			}
 		})
@@ -312,8 +317,10 @@ func TestRestartBudgetExhausted(t *testing.T) {
 // TestCancellationMidRun cancels a world whose rank 0 is blocked in a
 // receive that can never be satisfied: Run must return ctx.Err() promptly
 // and tear the worker pool down (Run does not return until teardown —
-// including reaping local workers — completes).
+// including reaping local workers, link readers and the heartbeat —
+// completes), leaving no goroutine of the world behind.
 func TestCancellationMidRun(t *testing.T) {
+	before := runtime.NumGoroutine()
 	r := elastic.New(
 		elastic.WithLocalWorkers(true),
 		elastic.WithWorkerCount(2),
@@ -335,6 +342,16 @@ func TestCancellationMidRun(t *testing.T) {
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Errorf("cancellation took %v, want prompt", d)
+	}
+	// The accept loop exits on its own once the listener closes; give the
+	// runtime a moment to retire it.
+	deadline := time.Now().Add(5 * time.Second)
+	n := runtime.NumGoroutine()
+	for ; n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n > before {
+		t.Errorf("%d goroutines after the run, %d before: the world leaked goroutines", n, before)
 	}
 }
 

@@ -1,6 +1,7 @@
 package elastic
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 
@@ -29,8 +30,21 @@ func FuzzParseEnq(f *testing.F) {
 		if err != nil || msrc != src {
 			t.Fatalf("enq's msg parses to src %d (%v), want %d", msrc, err, src)
 		}
-		if !bytes.Equal(enqBody(rank, src, tag, metered, payload), b) {
+		m := msgRec{src: src, tag: tag, metered: metered, payload: payload}
+		if !bytes.Equal(appendEnq(nil, rank, m), b) {
 			t.Fatalf("enq (%d, %d, %d, %d) does not re-encode to its body", rank, src, tag, metered)
+		}
+		// The coordinator writes each enq together with its pop.
+		br := bufio.NewReader(bytes.NewReader(appendEnqPop(nil, rank, m)))
+		if op, body, err := dist.ReadFrame(br); err != nil || op != opEnq || !bytes.Equal(body, b) {
+			t.Fatalf("enq frame reads back as op %d (%v), body equal %v", op, err, bytes.Equal(body, b))
+		}
+		op, body, err := dist.ReadFrame(br)
+		if err != nil || op != opPop {
+			t.Fatalf("pop frame reads back as op %d (%v)", op, err)
+		}
+		if prank, psrc, err := parsePop(body); err != nil || prank != rank || psrc != src || len(body) != 8 {
+			t.Fatalf("pop (%d, %d) reads back as (%d, %d), %v", rank, src, prank, psrc, err)
 		}
 	})
 }
@@ -41,7 +55,7 @@ func FuzzParsePop(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(popBody(rank, src), b[:8]) {
+		if !bytes.Equal(appendPop(nil, rank, src), b[:8]) {
 			t.Fatalf("pop (%d, %d) does not re-encode to its body", rank, src)
 		}
 	})

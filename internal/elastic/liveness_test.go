@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,6 +92,92 @@ func TestHeartbeatDeclaresSilentWorkerDead(t *testing.T) {
 	}
 	if stats.Workers < 2 {
 		t.Errorf("stats.Workers = %d, want >= 2", stats.Workers)
+	}
+}
+
+// corruptingWorker serves the worker protocol like serveConn, except that
+// the second msg it echoes has its last payload byte flipped — a worker
+// whose inbox corrupted a message in flight. It sends that echo late, so
+// the corrupted message sits unconfirmed in the shadow queue while its
+// receiver asks for it.
+func corruptingWorker(addr, token string) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return
+	}
+	defer conn.Close()
+	if err := dist.WriteFrame(conn, opHello, helloBody(token, os.Getpid())); err != nil {
+		return
+	}
+	br := bufio.NewReader(conn)
+	if op, _, err := dist.ReadFrame(br); err != nil || op != opWelcome {
+		return
+	}
+	var stored [][]byte
+	pops := 0
+	for {
+		op, body, err := dist.ReadFrame(br)
+		if err != nil {
+			return
+		}
+		reply, rbody := byte(0), []byte(nil)
+		switch op {
+		case opEnq:
+			_, _, msg, err := parseEnq(body)
+			if err != nil {
+				return
+			}
+			stored = append(stored, msg)
+		case opPop:
+			// Every pop follows its own enq, so the newest stored message
+			// is the one asked for.
+			rbody = stored[len(stored)-1]
+			stored = stored[:len(stored)-1]
+			if pops++; pops == 2 {
+				time.Sleep(100 * time.Millisecond)
+				rbody[len(rbody)-1] ^= 1
+			}
+			reply = opMsg
+		case opPing:
+			reply = opPong
+		case opFinish:
+			reply = opBye
+		}
+		if reply != 0 {
+			if err := dist.WriteFrame(conn, reply, rbody); err != nil {
+				return
+			}
+		}
+	}
+}
+
+// TestCorruptEchoFailsTheWorld pins the verification the link reader
+// does: a worker that echoes a message with one payload byte flipped must
+// fail the run with the divergence error, and the receiving rank body must
+// never get that message — only the first, correctly echoed one.
+func TestCorruptEchoFailsTheWorld(t *testing.T) {
+	r := New(
+		WithWorkerCount(1),
+		WithExternalWorkers(),
+		WithAttachHook(func(addr, token string) { go corruptingWorker(addr, token) }),
+	)
+	var got []int
+	prog := func(p *spmd.Proc) {
+		if p.Rank() == 0 {
+			p.Send(1, 7, 41)
+			p.Send(1, 7, 42)
+			return
+		}
+		for i := 0; i < 2; i++ {
+			got = append(got, p.Recv(0, 7).(int))
+		}
+	}
+	_, err := core.Run(context.Background(), r, 2, machine.IBMSP(), prog)
+	if err == nil || !strings.Contains(err.Error(), "diverging from the shadow queue") {
+		t.Fatalf("run with a corrupting worker = %v, want the shadow-queue divergence error", err)
+	}
+	if !reflect.DeepEqual(got, []int{41}) {
+		t.Fatalf("rank 1 received %v, want only the correctly echoed [41]", got)
 	}
 }
 

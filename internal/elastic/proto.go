@@ -14,16 +14,18 @@ import (
 //
 //   - handshake: hello (worker → coordinator: token, pid) answered by
 //     welcome (worker id, heartbeat interval);
-//   - data plane: enq (coordinator → worker, fire-and-forget: store a
-//     message in the worker-side inbox of the rank it hosts) and
-//     pop (coordinator → worker, request) answered by msg (response) —
-//     the coordinator only pops messages its shadow queues prove are
-//     present, so a pop never blocks worker-side;
+//   - data plane: enq (coordinator → worker: store a message in the
+//     worker-side inbox of the rank it hosts) written together with the
+//     pop (coordinator → worker) that retrieves it, answered by msg —
+//     a pop only ever follows its own enq, so it never blocks
+//     worker-side;
 //   - liveness: ping answered by pong;
 //   - teardown: finish answered by bye.
 //
-// The coordinator serializes request/response pairs per connection (one
-// outstanding request), so no correlation ids are needed. Payloads are
+// Many pops and pings may be outstanding on a connection at once. The
+// worker answers frames strictly in arrival order, so the coordinator
+// keeps a FIFO of outstanding pops per connection and matches each msg
+// to the head of that FIFO; no correlation ids are needed. Payloads are
 // spmd wire-codec bytes; workers store and echo them opaquely.
 const (
 	opHello byte = 64 + iota
@@ -56,10 +58,10 @@ func parseWelcome(b []byte) (id int, heartbeat time.Duration, err error) {
 }
 
 // enq (coordinator → worker): store a message for a hosted rank.
-func enqBody(rank, src, tag, metered int, payload []byte) []byte {
-	buf := binary.BigEndian.AppendUint32(make([]byte, 0, 24+len(payload)), uint32(rank))
-	buf = dist.AppendMsgHeader(buf, src, tag, metered)
-	return append(buf, payload...)
+func appendEnq(buf []byte, rank int, m msgRec) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(rank))
+	buf = dist.AppendMsgHeader(buf, m.src, m.tag, m.metered)
+	return append(buf, m.payload...)
 }
 
 // parseEnq decodes an enq body: the hosted rank, the message's source,
@@ -77,8 +79,8 @@ func parseEnq(b []byte) (rank, src int, msg []byte, err error) {
 }
 
 // pop (coordinator → worker): request the head of the (rank, src) inbox.
-func popBody(rank, src int) []byte {
-	buf := binary.BigEndian.AppendUint32(nil, uint32(rank))
+func appendPop(buf []byte, rank, src int) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(rank))
 	return binary.BigEndian.AppendUint32(buf, uint32(src))
 }
 
@@ -86,4 +88,18 @@ func parsePop(b []byte) (rank, src int, err error) {
 	c := dist.NewCursor(b)
 	rank, src = int(c.U32()), int(c.U32())
 	return rank, src, c.Err()
+}
+
+// appendEnqPop appends the frames that deliver m to rank's host: the enq
+// storing it in the worker's (rank, src) inbox and the pop that sends it
+// straight back. Both are built in place, so the payload is copied once,
+// into buf.
+func appendEnqPop(buf []byte, rank int, m msgRec) []byte {
+	at := len(buf)
+	buf = appendEnq(append(buf, 0, 0, 0, 0, opEnq), rank, m)
+	binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+	at = len(buf)
+	buf = appendPop(append(buf, 0, 0, 0, 0, opPop), rank, m.src)
+	binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+	return buf
 }

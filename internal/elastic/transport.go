@@ -27,9 +27,9 @@ const pointRankOp = "elastic.rank.op"
 // msgRec is one message as the coordinator's shadow state records it:
 // the sender, tag, metered byte count, and the encoded payload bytes.
 // The same record serves three roles — undelivered shadow-queue entry,
-// worker-inbox mirror, and delivery-log entry — so replay redelivers
-// exactly what was delivered (decoded fresh, never aliasing a value the
-// rank body may have mutated).
+// the bytes the host worker's echo must match, and delivery-log entry —
+// so replay redelivers exactly what was delivered (decoded fresh, never
+// aliasing a value the rank body may have mutated).
 type msgRec struct {
 	src, tag, metered int
 	payload           []byte
@@ -44,9 +44,16 @@ type rankState struct {
 	running  bool
 	done     bool
 	restarts int
-	// queue holds undelivered inbound messages; the hosting worker's
-	// inbox mirrors it, and it is flushed to the new host on re-lease.
+	// queue holds undelivered inbound messages in arrival order; each is
+	// enqueued on the hosting worker and popped straight back, and it is
+	// flushed to the new host on re-lease. The first ready entries have
+	// come back from the host byte-identical and may be delivered.
 	queue []msgRec
+	ready int
+	// wake is signalled when the rank's blocked receive may proceed: a
+	// confirmed echo, a lost host or a failed world. It shares t.mu, and
+	// keeps message traffic from waking the scheduler on t.cond.
+	wake *sync.Cond
 	// log holds delivered messages in program order; cursor is the
 	// replay position (== len(log) once the attempt has gone live).
 	log    []msgRec
@@ -63,18 +70,31 @@ type rankState struct {
 	lost error
 }
 
-// wlink is the coordinator's connection to one worker endpoint. All I/O
-// on it happens under the transport mutex: the protocol has at most one
-// outstanding request per connection, so request/response pairs complete
-// atomically and need no correlation.
+// wlink is the coordinator's connection to one worker endpoint. Its
+// reader goroutine (read) owns every read on it. Writes are queued in
+// out and issued by flushLocked with the transport mutex released. Fields
+// are guarded by the transport mutex, except br and rbuf, which only the
+// reader touches.
 type wlink struct {
-	id           int
-	pid          int
-	c            net.Conn
-	br           *bufio.Reader
-	buf          []byte
-	dead         bool
+	id   int
+	pid  int
+	c    net.Conn
+	br   *bufio.Reader
+	rbuf []byte // the reader's frame buffer, reused across frames
+	// out holds frames not yet written; flushing is set while one
+	// goroutine writes them.
+	out      []byte
+	flushing bool
+	// pops lists, oldest first, the rank of every pop written and not
+	// yet answered: the worker answers pops in order, so the head names
+	// the shadow queue an arriving msg frame belongs to.
+	pops []int
+	// pingDue is set while a ping is unanswered; missed counts
+	// consecutive heartbeat ticks that found it still due.
+	pingDue      bool
 	missed       int
+	dead         bool
+	gone         bool // the reader has exited
 	joinedMidRun bool
 	ranks        map[int]struct{}
 }
@@ -124,9 +144,12 @@ type transport struct {
 
 	deadlineTimer *time.Timer
 	stopCancel    func() bool
+	stopBeat      context.CancelFunc
 	procs         []*exec.Cmd
 	procWG        sync.WaitGroup
 	localWG       sync.WaitGroup
+	// linkWG counts the link readers and the heartbeat goroutine.
+	linkWG sync.WaitGroup
 
 	// rec is the run's flight recorder; nil (free) when tracing is off.
 	// Rank events are emitted from attempt goroutines — attempts of one
@@ -151,6 +174,9 @@ func (r *runner) start(ctx context.Context, n int) (*transport, error) {
 		rec:      obs.RunRecorder(ctx, n, "elastic"),
 	}
 	t.cond = sync.NewCond(&t.mu)
+	for i := range t.ranks {
+		t.ranks[i].wake = sync.NewCond(&t.mu)
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("control listener: %w", err)
@@ -163,6 +189,10 @@ func (r *runner) start(ctx context.Context, n int) (*transport, error) {
 	}
 	t.token = hex.EncodeToString(secret[:])
 	go t.acceptLoop(ln)
+	beat, stopBeat := context.WithCancel(ctx)
+	t.stopBeat = stopBeat
+	t.linkWG.Add(1)
+	go t.heartbeat(beat)
 	if r.onAttach != nil {
 		r.onAttach(ln.Addr().String(), t.token)
 	}
@@ -297,67 +327,185 @@ func (t *transport) admit(c net.Conn) {
 	}
 	w := &wlink{id: t.nextWID, pid: pid, c: c, br: br, ranks: map[int]struct{}{}, joinedMidRun: t.started}
 	t.nextWID++
-	if t.writeLocked(w, opWelcome, welcomeBody(w.id, t.r.hbInterval)) != nil {
+	// The only write under the lock: a small frame on a connection
+	// nothing else writes to yet, so it cannot block on the worker.
+	if dist.WriteFrame(c, opWelcome, welcomeBody(w.id, t.r.hbInterval)) != nil {
 		c.Close()
 		return
 	}
 	t.workers[w.id] = w
 	t.attached++
 	t.stats.Workers++
+	t.linkWG.Add(1)
+	go t.read(w)
 	t.cond.Broadcast()
-	go t.heartbeat(w)
 }
 
-// heartbeat pings one worker on the configured cadence; hbMiss
-// consecutive failures (I/O errors or a pong that never arrives within
-// an interval) declare it dead. Detection by heartbeat matters for the
-// silent-failure mode TCP cannot report: a worker that is alive as a
-// connection but wedged as a process.
-func (t *transport) heartbeat(w *wlink) {
-	tick := time.NewTicker(t.r.hbInterval)
-	defer tick.Stop()
-	for range tick.C {
+// read is w's reader; it owns every read on the link. A msg frame
+// answers the oldest outstanding pop and is checked against the
+// shadow-queue entry that pop was written for (confirmLocked); a pong
+// answers the heartbeat; a bye ends the finish barrier. A read error
+// mid-run declares the worker dead, so a severed link is detected here
+// without waiting out the heartbeat.
+func (t *transport) read(w *wlink) {
+	defer t.linkWG.Done()
+	for {
+		op, body, err := dist.ReadFrameInto(w.br, &w.rbuf)
 		t.mu.Lock()
-		if w.dead || t.finishing || t.err != nil {
-			t.mu.Unlock()
-			return
-		}
-		err := t.writeLocked(w, opPing, nil)
-		if err == nil {
-			var op byte
-			op, _, err = t.readLocked(w, time.Now().Add(t.r.hbInterval))
-			if err == nil && op != opPong {
-				err = fmt.Errorf("expected pong, got op %d", op)
+		if err == nil && op != opBye && !w.dead {
+			err = t.frameLocked(w, op, body)
+			if err == nil {
+				t.mu.Unlock()
+				continue
 			}
 		}
 		if err != nil {
-			w.missed++
-			if w.missed >= t.r.hbMiss {
-				t.declareDeadLocked(w, fmt.Errorf("missed %d heartbeats: %w", w.missed, err))
-				t.mu.Unlock()
-				return
+			t.lostLocked(w, fmt.Errorf("read: %w", err))
+		}
+		w.gone = true
+		t.cond.Broadcast()
+		t.mu.Unlock()
+		return
+	}
+}
+
+// frameLocked applies one frame read from w.
+func (t *transport) frameLocked(w *wlink, op byte, body []byte) error {
+	switch op {
+	case opMsg:
+		if len(w.pops) == 0 {
+			return errors.New("msg frame with no pop outstanding")
+		}
+		rank := w.pops[0]
+		w.pops = w.pops[1:]
+		t.confirmLocked(w, rank, body)
+	case opPong:
+		w.pingDue = false
+		if t.rec != nil {
+			t.rec.EmitSys(obs.Event{T: t.rec.Now(), Rank: -1, Peer: int32(w.id), Kind: obs.KindHeartbeat})
+		}
+	default:
+		return fmt.Errorf("unexpected op %d", op)
+	}
+	return nil
+}
+
+// confirmLocked checks a msg frame w echoed for rank against the oldest
+// unconfirmed entry of rank's shadow queue — the message that pop was
+// written for — and only an exact match becomes deliverable. A mismatch
+// fails the world. An echo for a rank w no longer hosts (the rank
+// finished, or w died and the rank moved on) is stale and dropped.
+func (t *transport) confirmLocked(w *wlink, rank int, body []byte) {
+	rs := &t.ranks[rank]
+	if rs.host != w {
+		return
+	}
+	var want msgRec
+	pending := rs.ready < len(rs.queue)
+	if pending {
+		want = rs.queue[rs.ready]
+	}
+	src, tag, metered, payload, err := dist.ParseMsgHeader(body)
+	if err == nil && pending && src == want.src && tag == want.tag && metered == want.metered && bytes.Equal(payload, want.payload) {
+		rs.ready++
+		rs.wake.Signal()
+		return
+	}
+	t.failLocked(fmt.Errorf("elastic: rank %d: worker %d delivered a message diverging from the shadow queue (src %d/%d tag %d/%d)",
+		rank, w.id, src, want.src, tag, want.tag))
+}
+
+// heartbeat pings every live worker once per interval until ctx ends. A
+// worker whose previous ping is still unanswered at a tick has missed a
+// beat, and hbMiss consecutive misses declare it dead; the pongs are read
+// by the link's reader. Heartbeats catch the failure TCP cannot report: a
+// worker alive as a connection but wedged as a process. Pings and pops
+// share the worker's one FIFO loop, so a worker wedged mid-pop stops
+// answering pings too.
+func (t *transport) heartbeat(ctx context.Context) {
+	defer t.linkWG.Done()
+	tick := time.NewTicker(t.r.hbInterval)
+	defer tick.Stop()
+	// A worker that does not drain its link within the detection window
+	// is dead, not slow: that bounds the heartbeat's own writes.
+	bound := t.r.hbInterval * time.Duration(t.r.hbMiss+1)
+	for {
+		select {
+		case <-tick.C:
+		case <-ctx.Done():
+			return
+		}
+		t.mu.Lock()
+		if t.finishing || t.err != nil {
+			t.mu.Unlock()
+			return
+		}
+		var pinged []*wlink
+		for _, w := range t.workers {
+			if w.pingDue {
+				w.missed++
+				if w.missed >= t.r.hbMiss {
+					t.declareDeadLocked(w, fmt.Errorf("missed %d heartbeats", w.missed))
+				}
+				continue
 			}
-		} else {
 			w.missed = 0
-			if t.rec != nil {
-				t.rec.EmitSys(obs.Event{T: t.rec.Now(), Rank: -1, Peer: int32(w.id), Kind: obs.KindHeartbeat})
-			}
+			w.pingDue = true
+			w.out = dist.AppendFrame(w.out, opPing, nil)
+			pinged = append(pinged, w)
+		}
+		for _, w := range pinged {
+			t.flushLocked(w, bound)
 		}
 		t.mu.Unlock()
 	}
 }
 
-func (t *transport) writeLocked(w *wlink, op byte, body []byte) error {
-	w.buf = dist.AppendFrame(w.buf[:0], op, body)
-	_, err := w.c.Write(w.buf)
-	return err
+// flushLocked writes w's queued frames with the transport mutex
+// released; t.mu is held again on return. One goroutine flushes a link at
+// a time, and frames queued meanwhile go out with its next write, so a
+// caller that finds a flush in progress returns at once. Because no
+// goroutine holds t.mu across a write, the link's reader can always take
+// it, so a worker blocked writing its echoes never blocks the writer in
+// turn.
+//
+// A nonzero bound puts a deadline on the flush. Data-plane flushes carry
+// none (setting one costs a netpoller wakeup per message): a write stuck
+// on a wedged worker holds back the pings queued behind it, so the
+// heartbeat declares the worker dead and the close unblocks the write.
+// The heartbeat's own flushes are bounded so it cannot wedge itself.
+func (t *transport) flushLocked(w *wlink, bound time.Duration) {
+	if w.flushing {
+		return
+	}
+	w.flushing = true
+	if bound > 0 {
+		w.c.SetWriteDeadline(time.Now().Add(bound)) //nolint:errcheck // a failed set shows up in the write
+		defer w.c.SetWriteDeadline(time.Time{})     //nolint:errcheck // as above
+	}
+	for len(w.out) > 0 && !w.dead {
+		buf := w.out
+		w.out = nil
+		t.mu.Unlock()
+		_, err := w.c.Write(buf)
+		t.mu.Lock()
+		if w.out == nil {
+			w.out = buf[:0]
+		}
+		if err != nil {
+			t.lostLocked(w, fmt.Errorf("write: %w", err))
+			break
+		}
+	}
+	w.flushing = false
 }
 
-func (t *transport) readLocked(w *wlink, deadline time.Time) (byte, []byte, error) {
-	if err := w.c.SetReadDeadline(deadline); err != nil {
-		return 0, nil, err
+// lostLocked handles an I/O error on w. Mid-run it declares w dead; once
+// the world is finishing or failed, links are closing anyway.
+func (t *transport) lostLocked(w *wlink, err error) {
+	if !t.finishing && t.err == nil {
+		t.declareDeadLocked(w, err)
 	}
-	return dist.ReadFrame(w.br)
 }
 
 // declareDeadLocked removes a worker from the leasable pool: its
@@ -369,6 +517,7 @@ func (t *transport) declareDeadLocked(w *wlink, cause error) {
 		return
 	}
 	w.dead = true
+	w.out, w.pops = nil, nil
 	delete(t.workers, w.id)
 	w.c.Close()
 	t.stats.DeclaredDead++
@@ -379,6 +528,7 @@ func (t *transport) declareDeadLocked(w *wlink, cause error) {
 		if rs := &t.ranks[rank]; rs.host == w {
 			rs.host = nil
 			rs.lost = fmt.Errorf("worker %d: %w", w.id, cause)
+			rs.wake.Signal()
 		}
 	}
 	t.cond.Broadcast()
@@ -411,6 +561,9 @@ func (t *transport) failLocked(err error) {
 	t.err = err
 	for _, w := range t.workers {
 		w.c.Close()
+	}
+	for i := range t.ranks {
+		t.ranks[i].wake.Signal()
 	}
 	t.cond.Broadcast()
 }
@@ -451,8 +604,8 @@ func (t *transport) opDoneLocked(rank int, rs *rankState) {
 			t.killLocked(w)
 		}
 	case faultinject.Drop:
-		// Sever the link without declaring death: the next I/O error or
-		// missed heartbeat must detect it — the detection-path exercise.
+		// Sever the link without declaring death: the link's reader (or
+		// the next write) must detect it — the detection-path exercise.
 		if w := rs.host; w != nil && !w.dead {
 			w.c.Close()
 		}
@@ -461,49 +614,14 @@ func (t *transport) opDoneLocked(rank int, rs *rankState) {
 	}
 }
 
-// enqLocked mirrors one shadow-queue message into the hosting worker's
-// inbox. An I/O failure declares that worker dead (the message is safe
-// in the shadow queue and will be flushed to the next host); the sender
-// is unaffected unless the dead worker was its own host.
-func (t *transport) enqLocked(w *wlink, rank int, m msgRec) error {
-	err := t.writeLocked(w, opEnq, enqBody(rank, m.src, m.tag, m.metered, m.payload))
-	if err != nil {
-		t.declareDeadLocked(w, fmt.Errorf("enq: %w", err))
-	}
-	return err
-}
-
-// popTimeout bounds a pop's response read: a worker that accepted the
-// request but never answers is dead, not slow.
-func (t *transport) popTimeout() time.Duration {
-	return t.r.hbInterval * time.Duration(t.r.hbMiss+1)
-}
-
-// popLocked retrieves the head of the (rank, src) inbox from rank's host
-// — guaranteed non-empty by the shadow queue. Stale pongs from a
-// previously timed-out heartbeat are skipped.
-func (t *transport) popLocked(w *wlink, rank, src int) (msgRec, error) {
-	if err := t.writeLocked(w, opPop, popBody(rank, src)); err != nil {
-		return msgRec{}, err
-	}
-	deadline := time.Now().Add(t.popTimeout())
-	for {
-		op, body, err := t.readLocked(w, deadline)
-		if err != nil {
-			return msgRec{}, err
-		}
-		if op == opPong {
-			continue
-		}
-		if op != opMsg {
-			return msgRec{}, fmt.Errorf("expected msg frame, got op %d", op)
-		}
-		msrc, tag, metered, payload, err := dist.ParseMsgHeader(body)
-		if err != nil {
-			return msgRec{}, err
-		}
-		return msgRec{src: msrc, tag: tag, metered: metered, payload: payload}, nil
-	}
+// enqLocked queues one shadow-queue message for rank's host w: the enq
+// frame that stores it in the worker's inbox, followed in the same write
+// by the pop that sends it straight back ("eager pop"). The echo comes
+// back through w's reader, which checks it against the shadow queue
+// before the message can be delivered. The caller flushes w.
+func (t *transport) enqLocked(w *wlink, rank int, m msgRec) {
+	w.out = appendEnqPop(w.out, rank, m)
+	w.pops = append(w.pops, rank)
 }
 
 // Charge discards modeled computation like the real and dist backends.
@@ -548,8 +666,9 @@ func (t *transport) Send(src, dst, tag int, data any, bytes int) {
 	m := msgRec{src: src, tag: tag, metered: bytes, payload: payload}
 	ds := &t.ranks[dst]
 	ds.queue = append(ds.queue, m)
-	if w := ds.host; w != nil && !w.dead {
-		t.enqLocked(w, dst, m) //nolint:errcheck // shadow queue keeps the message; dst reschedules
+	w := ds.host
+	if w != nil && !w.dead {
+		t.enqLocked(w, dst, m)
 	}
 	rs.sent++
 	rs.sendIdx++
@@ -560,8 +679,12 @@ func (t *transport) Send(src, dst, tag int, data any, bytes int) {
 	if t.rec != nil {
 		t.rec.Emit(src, obs.Event{T: start, Dur: t.rec.Now() - start, Bytes: int64(bytes), Peer: int32(dst), Tag: int32(tag), Kind: obs.KindSend})
 	}
-	t.cond.Broadcast()
 	t.opDoneLocked(src, rs)
+	if w != nil {
+		// A write failure declares w dead; the shadow queue keeps the
+		// message and dst reschedules.
+		t.flushLocked(w, 0)
+	}
 }
 
 func (t *transport) Recv(src, dst, tag int) any {
@@ -576,8 +699,9 @@ func (t *transport) RecvAny(dst, tag int) (int, any) {
 
 // recv delivers the next message for dst (from src, or from anyone in
 // arrival order when src < 0): replayed from the delivery log while the
-// attempt is behind its checkpoint, popped from the hosting worker's
-// inbox once live.
+// attempt is behind its checkpoint, and once live taken from the shadow
+// queue as soon as the host's echo has confirmed it. recv itself does no
+// I/O: the link's reader confirms messages and wakes it.
 func (t *transport) recv(dst, src, tag int) (int, any) {
 	var start int64
 	if t.rec != nil {
@@ -616,10 +740,10 @@ func (t *transport) recv(dst, src, tag int) (int, any) {
 				break
 			}
 		}
-		if idx >= 0 {
+		if idx >= 0 && idx < rs.ready {
 			break
 		}
-		t.cond.Wait()
+		rs.wake.Wait()
 	}
 	m := rs.queue[idx]
 	if m.tag != tag {
@@ -628,25 +752,11 @@ func (t *transport) recv(dst, src, tag int) (int, any) {
 		}
 		panic(fmt.Sprintf("elastic: process %d expected tag %d from %d, got %d", dst, tag, src, m.tag))
 	}
-	w := rs.host
-	popped, err := t.popLocked(w, dst, m.src)
-	if err != nil {
-		// The pop ran on dst's own host: its death is dst's reschedule.
-		// The message was not logged and stays in the shadow queue, so
-		// the re-execution redelivers it — no loss, no duplicate.
-		t.declareDeadLocked(w, fmt.Errorf("pop: %w", err))
-		panic(backend.Canceled(&rescheduleError{rank: dst, cause: rs.lost}))
-	}
-	if popped.src != m.src || popped.tag != m.tag || popped.metered != m.metered || !bytes.Equal(popped.payload, m.payload) {
-		perr := fmt.Errorf("elastic: rank %d: worker %d delivered a message diverging from the shadow queue (src %d/%d tag %d/%d)",
-			dst, w.id, popped.src, m.src, popped.tag, m.tag)
-		t.failLocked(perr)
-		panic(backend.Canceled(perr))
-	}
 	rs.queue = append(rs.queue[:idx], rs.queue[idx+1:]...)
+	rs.ready--
 	rs.log = append(rs.log, m)
 	rs.cursor++
-	v := t.decode(dst, m.src, popped.payload)
+	v := t.decode(dst, m.src, m.payload)
 	if t.rec != nil {
 		kind := obs.KindRecv
 		if src < 0 {
@@ -687,17 +797,17 @@ func (t *transport) pickWorkerLocked() *wlink {
 }
 
 // leaseLocked assigns rank to w and flushes the rank's shadow queue into
-// w's inbox. It reports false when w died mid-flush (the scheduler picks
-// another worker).
+// w's inbox; every entry must come back from w before it is deliverable
+// again. It reports false when w died mid-flush (the scheduler picks
+// another worker). The flush releases t.mu while it writes.
 func (t *transport) leaseLocked(rank int, w *wlink) bool {
 	rs := &t.ranks[rank]
-	rs.host, rs.lost = w, nil
+	rs.host, rs.lost, rs.ready = w, nil, 0
 	w.ranks[rank] = struct{}{}
 	for _, m := range rs.queue {
-		if t.enqLocked(w, rank, m) != nil {
-			return false
-		}
+		t.enqLocked(w, rank, m)
 	}
+	t.flushLocked(w, 0)
 	if rs.host != w || w.dead {
 		return false
 	}
@@ -812,7 +922,7 @@ func (t *transport) Drive(run func(rank int) error) error {
 	err := t.err
 	t.mu.Unlock()
 	// Every attempt unwinds on its own: blocked receives wake via the
-	// broadcast in failLocked/declareDeadLocked and raise a sentinel at
+	// signals in failLocked/declareDeadLocked and raise a sentinel at
 	// checkLiveLocked.
 	attempts.Wait()
 	return err
@@ -829,25 +939,28 @@ func (t *transport) Finish() backend.Result {
 		t.deadlineTimer = nil
 	}
 	if t.err == nil && t.ctx.Err() == nil {
-		deadline := time.Now().Add(10 * time.Second)
+		var links []*wlink
 		for _, w := range t.workers {
-			if w.dead {
-				continue
-			}
-			if t.writeLocked(w, opFinish, nil) != nil {
-				continue
-			}
-			for {
-				op, _, err := t.readLocked(w, deadline)
-				if err != nil || op == opBye {
-					break
-				}
-				// Stale pongs drain here; anything else ends the read.
-				if op != opPong {
-					break
-				}
+			w.out = dist.AppendFrame(w.out, opFinish, nil)
+			links = append(links, w)
+		}
+		// Each reader exits on its worker's bye (or a lost link).
+		const byeWait = 10 * time.Second
+		for _, w := range links {
+			t.flushLocked(w, byeWait)
+		}
+		deadline := time.Now().Add(byeWait)
+		wake := time.AfterFunc(byeWait, func() {
+			t.mu.Lock()
+			t.cond.Broadcast()
+			t.mu.Unlock()
+		})
+		for _, w := range links {
+			for !w.gone && time.Now().Before(deadline) {
+				t.cond.Wait()
 			}
 		}
+		wake.Stop()
 	}
 	stats := t.stats
 	t.mu.Unlock()
@@ -884,9 +997,11 @@ func (t *transport) teardown() {
 	procs := t.procs
 	t.procs = nil
 	t.mu.Unlock()
+	t.stopBeat()
 	for _, cmd := range procs {
 		cmd.Process.Kill() //nolint:errcheck // already-exited is fine
 	}
 	t.procWG.Wait()
 	t.localWG.Wait()
+	t.linkWG.Wait()
 }

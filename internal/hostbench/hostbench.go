@@ -26,6 +26,7 @@ import (
 	"repro/internal/backend/dist"
 	"repro/internal/collective"
 	"repro/internal/core"
+	"repro/internal/elastic"
 	"repro/internal/figures"
 	"repro/internal/machine"
 	"repro/internal/onedeep"
@@ -196,8 +197,18 @@ func benchRealPingPong(b *testing.B) error { return benchPingPong(b, backend.Rea
 func BenchDistPingPong(b *testing.B) { mustBench(b, benchDistPingPong) }
 
 func benchDistPingPong(b *testing.B) error {
-	return benchPingPong(b, dist.New(dist.WithWorkerPool()))
+	r := dist.New(dist.WithWorkerPool())
+	defer r.(io.Closer).Close()
+	return benchPingPong(b, r)
 }
+
+// BenchElasticPingPong measures per-message latency on the elastic
+// backend (1000 round trips per op, self-spawned worker processes, world
+// start included): the DistPingPong program with dist's eager push
+// swapped for elastic's shadow-queued, echo-verified delivery.
+func BenchElasticPingPong(b *testing.B) { mustBench(b, benchElasticPingPong) }
+
+func benchElasticPingPong(b *testing.B) error { return benchPingPong(b, elastic.New()) }
 
 // BenchDistWorldStartup measures acquiring, handshaking, and releasing a
 // 4-worker dist world whose processes do nothing: the distributed
@@ -209,6 +220,7 @@ func BenchDistWorldStartup(b *testing.B) { mustBench(b, benchDistWorldStartup) }
 func benchDistWorldStartup(b *testing.B) error {
 	model := machine.IBMSP()
 	r := dist.New(dist.WithWorkerPool())
+	defer r.(io.Closer).Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -231,6 +243,7 @@ func benchDistOneDeepWorld(b *testing.B) error {
 	blocks := sortapp.BlockDistribute(data, 4)
 	model := machine.IntelDelta()
 	r := dist.New(dist.WithWorkerPool())
+	defer r.(io.Closer).Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -251,6 +264,7 @@ func BenchDistAllReduce(b *testing.B) { mustBench(b, benchDistAllReduce) }
 func benchDistAllReduce(b *testing.B) error {
 	model := machine.IBMSP()
 	r := dist.New(dist.WithWorkerPool())
+	defer r.(io.Closer).Close()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
